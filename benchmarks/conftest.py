@@ -7,18 +7,11 @@ numbers in EXPERIMENTS.md can be regenerated from a bench run alone.
 """
 import pathlib
 
-import pytest
-
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 OUT_DIR.mkdir(exist_ok=True)
 
 BENCH_SF_TPCH = 0.1
 BENCH_SF_REAL = 0.05
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _quiet(spark):
-    spark.sparkContext.setLogLevel("ERROR")
 
 
 def publish(name: str, title: str, df) -> None:

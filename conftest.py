@@ -60,7 +60,9 @@ def spark() -> SparkSession:
     (shuffle partitions, Arrow, broadcast threshold) are set here.
     Broadcast joins are disabled so papers about shuffle/join algorithms
     actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    wants a broadcast join sets the threshold back for that query. The
+    log level is ERROR. Tests that do not request this fixture (the
+    pure planner tests) never start a JVM.
     """
     s = (
         SparkSession.builder.appName("repro")
@@ -72,6 +74,7 @@ def spark() -> SparkSession:
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
+    s.sparkContext.setLogLevel("ERROR")
     # One line in test_output.txt that tells the driver whether the
     # cgroup derivation saw the real limit (README § Spark target).
     print(

@@ -1,4 +1,9 @@
-"""Attribute closure and data preservability (paper §5.2, Condition I).
+"""The chase, attribute closure and data preservability (paper §5.2).
+
+:func:`chase` is the one fixpoint behind every "once the key is known,
+the attributes are known" rule in this package: ``clo`` (§5.2),
+``GET(Q, ~R)`` and its chasing sequence (§6.1), KBA plan generation
+(§6.2, which by Thm 6 *is* that sequence) and QCS support (§8.1).
 
 ``clo(~R, ~R)`` is the closure of ``att(~R)`` under the rule: if
 ``pk(~R') ⊆ clo`` for some KV schema ``~R'`` then ``att(~R') ⊆ clo``.
@@ -11,24 +16,44 @@ Condition (I): ``~R`` is data preserving for ``R`` iff every relation
 """
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Hashable, Iterable, TypeVar
 
 from .schema import Attr, BaaVSchema, Catalog, KVSchema, qualify
+
+T = TypeVar("T", bound=Hashable)
+Tag = TypeVar("Tag")
+
+
+def chase(
+    known: Iterable[T], rules: Iterable[tuple[Iterable[T], Iterable[T], Tag]]
+) -> tuple[frozenset[T], list[Tag]]:
+    """Fire each ``(premise, conclusion, tag)`` rule once its premise is
+    known, in rule order, until a fixpoint.
+
+    Returns the known set and the tags of the fired rules in firing
+    order. A rule fires at most once, even if it adds nothing new.
+    """
+    out = set(known)
+    pending = [(frozenset(p), frozenset(c), tag) for p, c, tag in rules]
+    fired: list[Tag] = []
+    changed = True
+    while changed:
+        changed = False
+        for rule in list(pending):
+            premise, conclusion, tag = rule
+            if premise <= out:
+                pending.remove(rule)
+                fired.append(tag)
+                if not conclusion <= out:
+                    out |= conclusion
+                    changed = True
+    return frozenset(out), fired
 
 
 def clo(kv: KVSchema, schemas: Iterable[KVSchema]) -> frozenset[Attr]:
     """``clo(~R, ~R)`` per Condition (I)'s inductive definition."""
-    schemas = list(schemas)
-    out: set[Attr] = set(kv.attrs)
-    changed = True
-    while changed:
-        changed = False
-        for other in schemas:
-            pk_attrs = qualify(other.relation, other.pk_cols)
-            if pk_attrs <= out and not other.attrs <= out:
-                out |= other.attrs
-                changed = True
-    return frozenset(out)
+    rules = [(qualify(s.relation, s.pk_cols), s.attrs, s) for s in schemas]
+    return chase(kv.attrs, rules)[0]
 
 
 def preserved_relations(catalog: Catalog, schema: BaaVSchema) -> dict[str, bool]:

@@ -1,34 +1,39 @@
 """Chase-based KBA plan generation (paper §6.2, Theorem 6).
 
-Given a query ``Q`` and a BaaV schema ``~R`` that is result preserving
-for ``Q``, generate a :class:`~repro.core.plan.KBAPlan`:
+Given a query ``Q`` and a BaaV schema ``~R``, generate a
+:class:`~repro.core.plan.KBAPlan`:
 
 1. minimize the (max SPC sub-)query — Condition (II)/(III) are stated
    over ``min(Q)``;
-2. chase from the constant classes: repeatedly pick, for an unfetched
-   atom, a covering KV schema whose key classes are already derivable
-   (``GET`` rules, §6.1) — each pick is an extension ``∝``;
-3. atoms left unreachable are given scan leaves over a covering KV
-   schema (rule (3) of §6.2); their attributes then feed further
-   extensions (scan-free *sub-plans* of non-scan-free queries, §5.1).
+2. :func:`~repro.core.closure.chase` from the constant classes with one
+   rule per (unfetched atom, covering KV schema), narrowest cover
+   first: key classes ⇒ column classes (the ``GET`` rules, §6.1). The
+   first rule fired for an atom is its extension ``∝``;
+3. when the chase stalls, the first remaining atom gets a scan leaf
+   over its narrowest cover (rule (3) of §6.2) and the chase resumes
+   from its attributes (scan-free *sub-plans* of non-scan-free
+   queries, §5.1).
 
 Per DESIGN.md, an atom is "covered" by a single KV schema with
-``X^{min(Q)}_R ⊆ att(~R)`` (the workload schemas are designed so such
-covers exist whenever the clo-based Condition (II)/(III) holds). The
-generated plan is scan-free iff no scan leaf was needed; by Theorem 6
-this coincides with Condition (III) for such schemas.
+``X^{min(Q)}_R ⊆ att(~R)``. This is module M1's gate: it implies the
+clo-based Condition (II) but not the reverse, so a query that is result
+preserving only through several KV schemas of one atom raises
+:class:`NotAnswerable`. The generated plan is scan-free iff no scan
+leaf was needed; by Theorem 6 this coincides with Condition (III) for
+schemas with single covers (all workload schemas).
 """
 from __future__ import annotations
 
+from .closure import chase
 from .minimize import minimize
 from .plan import FetchOp, KBAPlan, PlanOp, ScanOp, SeedOp, rep_col
-from .query import Atom, GroupByQuery, Query, SPCQuery, spc_of
+from .query import Atom, Query, SPCQuery, spc_of
 from .schema import Attr, BaaVSchema, Catalog, KVSchema
 
 
 class NotAnswerable(Exception):
-    """``~R`` is not result preserving for the query (module M1 would
-    route it to the plain SQL layer)."""
+    """Some atom of ``min(Q)`` has no single covering KV schema (module
+    M1 routes the query to the plain SQL layer)."""
 
 
 def _covers(minq: SPCQuery, schema: BaaVSchema, atom: Atom) -> list[KVSchema]:
@@ -61,8 +66,8 @@ def generate_plan(q: Query, catalog: Catalog, schema: BaaVSchema) -> KBAPlan:
     for alias, kvs in covers.items():
         if not kvs:
             raise NotAnswerable(
-                f"no KV schema covers X_Q of atom {alias}; "
-                "~R is not result preserving for this query"
+                f"no single KV schema covers X_Q of atom {alias}; "
+                "plans fetch each atom from one KV schema"
             )
 
     ops: list[PlanOp] = []
@@ -73,39 +78,37 @@ def generate_plan(q: Query, catalog: Catalog, schema: BaaVSchema) -> KBAPlan:
     if seed_cols:
         ops.append(SeedOp(tuple(sorted(seed_cols.items()))))
 
-    derivable: set[Attr] = {ec.find(a) for a, _ in minq.const}
+    def classes(atom: Atom, cols: tuple[str, ...]) -> frozenset[Attr]:
+        return frozenset(ec.find((atom.alias, c)) for c in cols)
+
+    known = frozenset(ec.find(a) for a, _ in minq.const)
     remaining: list[Atom] = list(minq.atoms)
-
-    def try_fetch_round() -> bool:
-        progressed = False
-        for atom in list(remaining):
-            for kv in covers[atom.alias]:
-                key_classes = {ec.find((atom.alias, c)) for c in kv.key}
-                if key_classes <= derivable:
-                    key_cols = tuple(
-                        (c, rep_col(ec.find((atom.alias, c)))) for c in kv.key
-                    )
-                    ops.append(FetchOp(atom, kv, key_cols))
-                    derivable.update(
-                        ec.find((atom.alias, c)) for c in kv.columns
-                    )
-                    remaining.remove(atom)
-                    progressed = True
-                    break
-        return progressed
-
-    while remaining:
-        if try_fetch_round():
-            continue
-        # No atom fetchable: scan the one whose cover unlocks the most
-        # derivable classes (ties: stable atom order).
-        atom = remaining[0]
+    while True:
+        # Chase the unfetched atoms' covers, narrowest first: the first
+        # rule fired for an atom is its extension ∝.
+        rules = [
+            (classes(atom, kv.key), classes(atom, kv.columns), (atom, kv))
+            for atom in remaining
+            for kv in covers[atom.alias]
+        ]
+        known, fired = chase(known, rules)
+        for atom, kv in fired:
+            if atom in remaining:
+                key_cols = tuple(
+                    (c, rep_col(ec.find((atom.alias, c)))) for c in kv.key
+                )
+                ops.append(FetchOp(atom, kv, key_cols))
+                remaining.remove(atom)
+        if not remaining:
+            break
+        # The chase stalled: scan the first remaining atom (stable atom
+        # order, not a cost-based choice) and chase on from its classes.
+        atom = remaining.pop(0)
         kv = covers[atom.alias][0]
         ops.append(ScanOp(atom, kv))
-        derivable.update(ec.find((atom.alias, c)) for c in kv.columns)
-        remaining.remove(atom)
+        known |= classes(atom, kv.columns)
 
-    plan = KBAPlan(
+    return KBAPlan(
         query=q,
         minq=minq,
         ec=ec,
@@ -113,7 +116,6 @@ def generate_plan(q: Query, catalog: Catalog, schema: BaaVSchema) -> KBAPlan:
         filters=minq.filters,
         attr_map=_attr_map(q, minq),
     )
-    return plan
 
 
 def plan_is_bounded(

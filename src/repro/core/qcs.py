@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .closure import chase
 from .schema import KVSchema
 
 
@@ -32,13 +33,7 @@ class QCS:
         """Whether ``Z[X]`` is supported: starting from the known
         attributes ``X``, all of ``Z`` is reachable by chaining KV
         schemas of this relation (a GET-style closure, §6.1)."""
-        rel_schemas = [kv for kv in schemas if kv.relation == self.relation]
-        known = set(self.X)
-        changed = True
-        while changed:
-            changed = False
-            for kv in rel_schemas:
-                if set(kv.key) <= known and not set(kv.columns) <= known:
-                    known |= set(kv.columns)
-                    changed = True
-        return set(self.Z) <= known
+        rules = [
+            (kv.key, kv.columns, kv) for kv in schemas if kv.relation == self.relation
+        ]
+        return set(self.Z) <= chase(self.X, rules)[0]

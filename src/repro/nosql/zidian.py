@@ -1,8 +1,11 @@
 """Zidian: the BaaV middleware (paper §5.1, Fig 1b, modules M1–M3).
 
 - **M1** — check whether the query can be answered over the available
-  BaaV store (result preservability, Condition II / Thm 3); if not,
-  fall back to the plain SQL layer over the TaaV store.
+  BaaV store: plan generation's single-cover check (every atom of
+  ``min(Q)`` fits in one KV schema), which implies result
+  preservability (Condition II / Thm 3) but not the reverse. A query
+  that fails it (:class:`NotAnswerable`) falls back to the plain SQL
+  layer over the TaaV store.
 - **M2** — generate a KBA plan, scan-free whenever the query is
   scan-free (Condition III / Thms 4–6).
 - **M3** — execute the plan with interleaved data access (§7.2): the
@@ -19,7 +22,6 @@ from pyspark.sql import DataFrame, SparkSession
 
 from ..core import plan as planmod
 from ..core.plangen import NotAnswerable, generate_plan, plan_is_bounded
-from ..core.preservation import is_result_preserving
 from ..core.query import Query
 from ..core.schema import BaaVSchema, Catalog
 from .kvstore import BaaVStore, TaaVStore
@@ -57,11 +59,7 @@ class Zidian:
         self.taav_fallback = taav_fallback
         self.bound_c = bound_c
 
-    # -- M1 ----------------------------------------------------------
-    def answerable(self, q: Query) -> bool:
-        return is_result_preserving(q, self.catalog, self.schema)
-
-    # -- M2 ----------------------------------------------------------
+    # -- M1 + M2 -----------------------------------------------------
     def plan(self, q: Query) -> planmod.KBAPlan:
         return generate_plan(q, self.catalog, self.schema)
 

@@ -13,11 +13,6 @@ from repro.workloads import airca, mot, tpch
 TEST_SF = 0.01
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _quiet(spark):
-    spark.sparkContext.setLogLevel("ERROR")
-
-
 @pytest.fixture(scope="session")
 def tpch_ctx(spark) -> RunContext:
     ctx = build_context(spark, tpch.WORKLOAD, sf=TEST_SF)

@@ -1,10 +1,28 @@
-"""Tests for clo() and Condition (I) data preservability (paper §5.2)."""
+"""Tests for the chase, clo() and Condition (I) data preservability
+(paper §5.2)."""
 import pytest
 
-from repro.core.closure import clo, is_data_preserving, preserved_relations
+from repro.core.closure import chase, clo, is_data_preserving, preserved_relations
 from repro.core.schema import BaaVSchema, Catalog, KVSchema, RelSchema
 
 CAT = Catalog.of(RelSchema("r", ("a", "b", "c"), ("a",)))
+
+
+def test_chase_fires_rules_in_order_until_fixpoint():
+    """A rule fires once its premise is known, later rules see its
+    conclusion in the same pass, and an earlier rule unlocked later
+    fires on the next pass."""
+    rules = [({"c"}, {"d"}, "c->d"), ({"a"}, {"b"}, "a->b"), ({"b"}, {"c"}, "b->c")]
+    known, fired = chase({"a"}, rules)
+    assert known == {"a", "b", "c", "d"}
+    assert fired == ["a->b", "b->c", "c->d"]
+
+
+def test_chase_fires_a_rule_once_even_if_it_adds_nothing():
+    rules = [({"a"}, {"a"}, "noop"), ({"a"}, {"b"}, "a->b"), ({"z"}, {"y"}, "never")]
+    known, fired = chase(["a"], rules)
+    assert known == {"a", "b"}
+    assert fired == ["noop", "a->b"]
 
 
 def test_clo_starts_with_own_attrs():

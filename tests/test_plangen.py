@@ -1,10 +1,12 @@
 """Tests for chase-based KBA plan generation (paper §6.2, Thm 6)."""
 import pytest
 
+from repro.core.minimize import minimize
 from repro.core.plan import FetchOp, ScanOp, SeedOp
 from repro.core.plangen import NotAnswerable, generate_plan, plan_is_bounded
-from repro.core.query import Atom, SPCQuery
-from repro.core.scanfree import is_scan_free
+from repro.core.preservation import is_result_preserving
+from repro.core.query import Atom, SPCQuery, spc_of
+from repro.core.scanfree import get_closure, is_scan_free
 from repro.core.schema import BaaVSchema, Catalog, KVSchema, RelSchema
 from repro.workloads import WORKLOADS, tpch
 
@@ -93,6 +95,43 @@ def test_not_answerable_raises():
     q = SPCQuery(atoms=(Atom("R", "r"),), projection=(("R", "b"),))
     with pytest.raises(NotAnswerable):
         generate_plan(q, cat, schema)
+
+
+def test_single_cover_gate_is_stricter_than_condition_ii():
+    """M1 is the single-cover check: r(a,b,c) stored as <a|b> and <a|c>
+    (pk a) is result preserving and scan-free for ``a = 1, project b, c``
+    through clo, but no single KV schema holds {a, b, c}, so plan
+    generation refuses and the query falls back to the SQL layer."""
+    cat = Catalog.of(RelSchema("r", ("a", "b", "c"), ("a",)))
+    schema = BaaVSchema.of(
+        KVSchema("r", ("a",), ("b",), pk=("a",)),
+        KVSchema("r", ("a",), ("c",), pk=("a",)),
+    )
+    q = SPCQuery(
+        atoms=(Atom("R", "r"),),
+        const=((("R", "a"), 1),),
+        projection=(("R", "b"), ("R", "c")),
+    )
+    assert is_result_preserving(q, cat, schema)
+    assert is_scan_free(q, cat, schema)
+    with pytest.raises(NotAnswerable, match="no single KV schema covers"):
+        generate_plan(q, cat, schema)
+
+
+def test_tpch_q5_fetches_lineitem_through_narrowest_cover():
+    """Plans take each atom's narrowest cover, not GET's schema order:
+    for tpch q5 the GET trace reaches lineitem through ~lineitem keyed
+    by l_orderkey first, while the plan fetches the narrower instance
+    keyed by l_suppkey (joined to supplier)."""
+    q = tpch.q5()
+    plan = generate_plan(q, tpch.CATALOG, tpch.BAAV)
+    (fetch,) = [
+        op for op in plan.ops if isinstance(op, FetchOp) and op.atom.relation == "lineitem"
+    ]
+    assert fetch.kv.name == "~lineitem<l_suppkey|l_orderkey,l_linenumber,l_extendedprice,l_discount>"
+    get = get_closure(minimize(spc_of(q), tpch.CATALOG), tpch.BAAV)
+    first = next(st for st in get.trace if st.atom.relation == "lineitem")
+    assert first.kv.key == ("l_orderkey",)
 
 
 def test_plan_is_bounded_checks_fetched_degrees():
