@@ -8,20 +8,22 @@ Paper numbers (128 GB, 8 workers):
     | #get       | 1.0e8   | 5.2e4  | 1.0e8   | 5.2e4  | 1.0e8   | 5.2e4  |
     | comm (MB)  | 4.6e2   | 16.7   | 4.5e2   | 15.4   | 4.5e2   | 15.7   |
 
-We reproduce the same four rows at SF=0.1: #data/#get/comm come from the
-exact meter; time is measured Spark wall + per-backend simulated storage
-time (DESIGN.md §5). The *shape* to check: Zidian wins every backend by
-roughly an order of magnitude in time, with 1–2 orders fewer values,
-~3 orders fewer gets and 1–2 orders less communication.
+We reproduce it at SF=0.1 with one row per system: ``wall_s`` is the
+measured Spark wall time (the same for every backend),
+``<backend>_storage_s`` the modelled storage time of the metered
+accesses at p=8 (DESIGN.md §5), and #data/#get/comm the exact meter.
+The *shape* to check: Zidian has ~3 orders fewer gets, 1–2 orders fewer
+values and less communication, hence less modelled storage time on
+every backend; measured wall is reported as it is.
 """
 from __future__ import annotations
 
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from ..nosql.backends import BACKENDS
 from ..runner import build_context, run_baseline, run_zidian, warm
 from ..workloads import tpch
+from ._session import get_session, print_table, time_columns
 
 PAPER = pd.DataFrame(
     {
@@ -44,29 +46,24 @@ def run(spark: SparkSession, *, sf: float = 0.1, p: int = 8) -> pd.DataFrame:
         q = tpch.WORKLOAD.template("q11").instantiate("GERMANY")
         br = run_baseline(ctx, q)
         zr = run_zidian(ctx, q)
-        rows: dict[str, list] = {
-            "metric": ["time_s", "n_data", "n_get", "comm_MB"]
-        }
-        for backend in BACKENDS:
-            for label, res in ((backend.name, br), (f"{backend.name}+Zidian", zr)):
-                from ..nosql.kvstore import Meter
-
-                m = Meter(**{k: v for k, v in res.meter.items()})
-                rows[label] = [
-                    round(backend.simulated_time(m, res.wall_s, p), 2),
-                    res.meter["data_values"],
-                    res.meter["gets"],
-                    round(res.meter["comm_bytes"] / 1e6, 3),
-                ]
-        return pd.DataFrame(rows)
+        return pd.DataFrame([
+            {"system": system} | time_columns(res, p) | {
+                "n_data": res.meter["data_values"],
+                "n_get": res.meter["gets"],
+                "comm_MB": res.meter["comm_bytes"] / 1e6,
+            }
+            for system, res in (("baseline", br), ("Zidian", zr))
+        ])
     finally:
         ctx.close()
 
 
-def main() -> None:  # pragma: no cover - exercised via jobs/
-    from ._session import get_session, print_table
-
+def main() -> None:  # pragma: no cover
     spark = get_session("table2")
-    out = run(spark)
-    print_table("Table 2 (case study Q1) — paper", PAPER)
-    print_table("Table 2 (case study Q1) — ours (SF=0.1, simulated p=8)", out)
+    print_table("Table 2 (case study Q1) — paper (measured on its cluster)", PAPER)
+    print_table("Table 2 (case study Q1) — ours (SF=0.1; wall_s measured, "
+                "*_storage_s modelled at p=8)", run(spark))
+
+
+if __name__ == "__main__":
+    main()

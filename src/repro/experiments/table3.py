@@ -8,20 +8,22 @@ query suite:
     | AIRCA  | 1.0e3   | 1.1   | 1.2e2   | 0.4   | 1.8e3   | 0.4   |
     | TPC-H  | 1.5e3   | 96.1  | 1.9e2   | 52.2  | 3.1e2   | 1.2e2 |
 
-Shape to check: Zidian wins every (workload, backend) cell; the win is
-2–3 orders of magnitude on the skewed MOT/AIRCA data and markedly
-smaller (1 order) on uniform TPC-H — the paper's §9 observation about
-skew-free data.
+Ours has one row per (workload, system): ``wall_s`` is the average
+measured Spark wall time and ``<backend>_storage_s`` the average
+modelled storage time at p=8 (DESIGN.md §5); the two are never added.
+Shape to check: Zidian's modelled storage time is below the baseline's
+in every (workload, backend) cell. The paper's win is 2–3 orders of
+magnitude on the skewed MOT/AIRCA data and markedly smaller (1 order)
+on uniform TPC-H — its §9 observation about skew-free data.
 """
 from __future__ import annotations
 
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from ..nosql.backends import BACKENDS
-from ..nosql.kvstore import Meter
 from ..runner import build_context, run_baseline, run_zidian, warm
 from ..workloads import WORKLOADS
+from ._session import get_session, print_table, time_columns
 
 PAPER = pd.DataFrame(
     {
@@ -40,41 +42,31 @@ _LABEL = {"mot": "MOT", "airca": "AIRCA", "tpch": "TPC-H"}
 
 def run_workload(
     spark: SparkSession, wl_name: str, *, sf: float, p: int = 8
-) -> dict[str, float]:
-    """Average simulated time per system over one workload's suite.
-
-    Returns overall averages plus per-class averages (``sf:``-prefixed
-    for scan-free templates, ``nsf:`` for the rest) — the paper's §9
-    headline speedups are reported per class.
-    """
+) -> pd.DataFrame:
+    """One row per (template, system) over one workload's suite: its
+    scan-free class, measured wall and modelled storage time."""
     wl = WORKLOADS[wl_name]
     ctx = build_context(spark, wl, sf=sf)
     try:
         warm(ctx)
-        sums: dict[str, float] = {}
-        counts: dict[str, int] = {}
+        rows = []
         for t in wl.templates:
             q = t.instantiate()
             br = run_baseline(ctx, q)
             zr = run_zidian(ctx, q)
-            cls = "sf" if t.scan_free else "nsf"
-            for backend in BACKENDS:
-                for label, res in (
-                    (backend.name, br),
-                    (f"{backend.name}+Zidian", zr),
-                ):
-                    m = Meter(**res.meter)
-                    tm = backend.simulated_time(m, res.wall_s, p)
-                    for key in (label, f"{cls}:{label}"):
-                        sums[key] = sums.get(key, 0.0) + tm
-                        counts[key] = counts.get(key, 0) + 1
-        return {k: round(v / counts[k], 2) for k, v in sums.items()}
+            cls = "scan-free" if t.scan_free else "non-scan-free"
+            for system, res in (("baseline", br), ("Zidian", zr)):
+                rows.append(
+                    {"workload": _LABEL[wl_name], "class": cls, "system": system}
+                    | time_columns(res, p)
+                )
+        return pd.DataFrame(rows)
     finally:
         ctx.close()
 
 
-# Bench scales (DESIGN.md / benchmarks/conftest.py): SF=0.1 TPC-H-lite,
-# SF=0.05 for the real-life stand-ins.
+# SF=0.1 TPC-H-lite; SF=0.05 for the real-life stand-ins keeps the full
+# suite run within minutes.
 DEFAULT_SFS = {"tpch": 0.1, "mot": 0.05, "airca": 0.05}
 
 
@@ -85,36 +77,26 @@ def run(
     p: int = 8,
     workloads: tuple[str, ...] = ("mot", "airca", "tpch"),
 ) -> tuple[pd.DataFrame, pd.DataFrame]:
-    """(overall averages, per-class averages) — both in seconds."""
+    """(averages per workload and system, the same per scan-free class)."""
     sfs = sfs or DEFAULT_SFS
-    overall, by_class = [], []
-    for wl_name in workloads:
-        avg = run_workload(spark, wl_name, sf=sfs[wl_name], p=p)
-        overall.append(
-            {"workload": _LABEL[wl_name]}
-            | {k: v for k, v in avg.items() if ":" not in k}
-        )
-        for cls, label in (("sf", "scan-free"), ("nsf", "non-scan-free")):
-            row = {"workload": _LABEL[wl_name], "class": label}
-            row |= {
-                k.split(":", 1)[1]: v
-                for k, v in avg.items()
-                if k.startswith(f"{cls}:")
-            }
-            if len(row) > 2:
-                by_class.append(row)
-    return pd.DataFrame(overall), pd.DataFrame(by_class)
+    per_query = pd.concat(
+        [run_workload(spark, wl, sf=sfs[wl], p=p) for wl in workloads]
+    )
+
+    def avg(by: list[str]) -> pd.DataFrame:
+        return per_query.groupby(by, sort=False).mean(numeric_only=True).reset_index()
+
+    return avg(["workload", "system"]), avg(["workload", "class", "system"])
 
 
 def main() -> None:  # pragma: no cover
-    from ._session import get_session, print_table
-
     spark = get_session("table3")
     overall, by_class = run(spark)
-    print_table("Table 3 (average time, s) — paper (128GB, 8 workers)", PAPER)
-    print_table(
-        "Table 3 (average time, s) — ours "
-        "(SF=0.1 TPC-H / 0.05 MOT+AIRCA, simulated p=8)",
-        overall,
-    )
+    print_table("Table 3 (average time, s) — paper (measured on its cluster)", PAPER)
+    print_table("Table 3 (average time, s) — ours (SF=0.1 TPC-H / 0.05 MOT+AIRCA; "
+                "wall_s measured, *_storage_s modelled at p=8)", overall)
     print_table("Table 3 breakdown — ours, by scan-free class", by_class)
+
+
+if __name__ == "__main__":
+    main()

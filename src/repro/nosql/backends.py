@@ -1,14 +1,15 @@
-"""Simulated storage-backend cost models (DESIGN.md §2, §5).
+"""Modelled storage-backend cost (DESIGN.md §2, §5).
 
 The paper deploys Zidian on SparkSQL-over-HBase (SoH), -Kudu (SoK) and
 -Cassandra (SoC). The three systems share the SQL layer and differ in
 storage-layer speed. We reproduce the three columns with a per-backend
 latency model applied to the *exact* metered access counts:
 
-    simulated_time = measured_wall + (#get · get_latency
-                                      + #data · per_value_cost) / p
+    storage_time = (#get · get_latency + #data · per_value_cost
+                    + #put · put_latency) / p
 
-with ``p`` the storage-layer parallelism (8, matching the paper's
+reported beside, never added to, the measured Spark wall time, with
+``p`` the storage-layer parallelism (8, matching the paper's
 8-worker runs). Constants reflect the per-get RPC cost ordering
 HBase > Cassandra > Kudu observed in paper Table 2 (SoH slowest, SoK
 fastest) and are held fixed across all experiments.
@@ -30,16 +31,13 @@ class Backend:
     put_latency_s: float  # per put invocation
 
     def storage_time(self, meter: Meter, p: int = 8) -> float:
-        """Simulated storage-layer time for a metered execution."""
+        """Modelled storage-layer time for a metered execution."""
         t = (
             meter.gets * self.get_latency_s
             + meter.data_values * self.per_value_s
             + meter.puts * self.put_latency_s
         )
         return t / p
-
-    def simulated_time(self, meter: Meter, wall_s: float, p: int = 8) -> float:
-        return wall_s + self.storage_time(meter, p)
 
 
 # Calibrated once against the SoH:SoK:SoC ratios of paper Table 2

@@ -1,8 +1,8 @@
 """Experiment runner: build stores for a workload and run queries
 through both systems (baseline SQL-over-NoSQL and Zidian).
 
-This is the shared harness behind the tests, benchmarks and jobs/
-entrypoints. ``RunContext`` owns the pandas ground truth (for the
+This is the shared harness behind the tests, the experiment drivers
+(``repro.experiments``) and perfbench. ``RunContext`` owns the pandas ground truth (for the
 DuckDB oracle), the Spark relations, the metered TaaV store (baseline)
 and BaaV store (Zidian).
 """

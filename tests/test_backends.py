@@ -1,7 +1,7 @@
 """Tests for the backend latency models (DESIGN.md §5)."""
 import pytest
 
-from repro.nosql.backends import BACKENDS, CASSANDRA, HBASE, KUDU
+from repro.nosql.backends import BACKENDS, CASSANDRA, HBASE
 from repro.nosql.kvstore import Meter
 
 
@@ -30,13 +30,6 @@ def test_storage_time_divides_by_parallelism():
     )
 
 
-def test_simulated_time_adds_wall():
-    m = _meter()
-    assert KUDU.simulated_time(m, wall_s=3.0) == pytest.approx(
-        3.0 + KUDU.storage_time(m)
-    )
-
-
 def test_put_latency_counted():
     m = Meter(puts=100)
     assert CASSANDRA.storage_time(m) > 0
@@ -48,7 +41,7 @@ def test_zero_meter_costs_nothing():
 
 def test_table2_shape_zidian_vs_baseline():
     """With Table-2-like access counts, every backend shows an order-of-
-    magnitude simulated-time gap in Zidian's favour."""
+    magnitude modelled storage-time gap in Zidian's favour."""
     baseline = Meter(gets=100_000, data_values=500_000)
     zidian = Meter(gets=50, data_values=8_000)
     for b in BACKENDS:

@@ -53,3 +53,12 @@ def test_bounded_comm_independent_of_size(two_scales):
     zs = run_zidian(small, q)
     zl = run_zidian(large, q)
     assert zl.meter["comm_bytes"] <= zs.meter["comm_bytes"] * 1.5 + 100
+
+
+def test_bounded_plan_comm_is_constant_sized(mot_ctx):
+    """Prop 7(b): a bounded plan's modeled communication is tiny and
+    size-independent (absolute check at test scale)."""
+    q = mot_ctx.workload.template("q1").instantiate()
+    zr = run_zidian(mot_ctx, q)
+    assert zr.bounded
+    assert zr.meter["comm_bytes"] < 10_000  # a handful of blocks
