@@ -24,20 +24,12 @@ def map_relation(df: DataFrame, kv: KVSchema) -> DataFrame:
     return df.select(*kv.columns)
 
 
-def degree(df: DataFrame, kv: KVSchema) -> int:
-    """deg(~D): max block size = max #tuples sharing one key (§4.1)."""
-    row = (
-        df.groupBy(*kv.key)
-        .agg(F.count(F.lit(1)).alias("n"))
-        .agg(F.max("n").alias("m"))
-        .collect()[0]
-    )
-    return int(row["m"]) if row["m"] is not None else 0
-
-
-def n_blocks(df: DataFrame, kv: KVSchema) -> int:
-    """Number of keyed blocks = number of distinct keys."""
-    return df.select(*kv.key).distinct().count()
+def block_sizes(df: DataFrame, kv: KVSchema) -> dict[tuple, int]:
+    """key → |B_k|, the number of tuples sharing the key, for every
+    keyed block (§4.1), the null key included; deg(~D) is the largest
+    value and the number of blocks the number of entries."""
+    counts = df.groupBy(*kv.key).count().collect()
+    return {tuple(r)[:-1]: r["count"] for r in counts}
 
 
 def blocks(df: DataFrame, kv: KVSchema) -> DataFrame:

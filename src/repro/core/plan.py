@@ -178,9 +178,7 @@ def execute(plan: KBAPlan, store: BaaVStore) -> DataFrame:
             fr.merge(_seed_df(store, op))
         elif isinstance(op, FetchOp):
             assert fr.df is not None, "fetch before any seed/scan"
-            keys = fr.df.select(
-                *[F.col(fc).alias(kc) for kc, fc in op.key_cols]
-            ).distinct()
+            keys = fr.df.select(*[F.col(fc).alias(kc) for kc, fc in op.key_cols])
             fetched = store[op.kv].fetch(keys)
             fr.merge(_rename_to_classes(fetched, op.atom, op.kv, plan.ec))
         else:  # ScanOp

@@ -4,10 +4,12 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import SparkSession
 
+from ..core.query import Query
 from ..nosql.backends import BACKENDS
 from ..nosql.kvstore import Meter
 from ..nosql.sqllayer import BaselineResult
 from ..nosql.zidian import ZidianResult
+from ..runner import RunContext, run_baseline, run_zidian
 
 
 def get_session(name: str, cores: int | str = "*") -> SparkSession:
@@ -27,6 +29,16 @@ def get_session(name: str, cores: int | str = "*") -> SparkSession:
     )
     spark.sparkContext.setLogLevel("ERROR")
     return spark
+
+
+def timed_pair(ctx: RunContext, q: Query) -> tuple[BaselineResult, ZidianResult]:
+    """One baseline and one Zidian run of ``q``, each after one untimed
+    warm-up run of its own, so that no timed run pays for Spark's code
+    generation."""
+    run_baseline(ctx, q)
+    br = run_baseline(ctx, q)
+    run_zidian(ctx, q)
+    return br, run_zidian(ctx, q)
 
 
 def time_columns(res: BaselineResult | ZidianResult, p: int) -> dict[str, float]:

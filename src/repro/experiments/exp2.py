@@ -10,9 +10,9 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from ..runner import build_context, run_baseline, run_zidian, warm
+from ..runner import build_context, warm
 from ..workloads import mot
-from ._session import get_session, print_table, time_columns
+from ._session import get_session, print_table, time_columns, timed_pair
 
 PAPER = pd.DataFrame(
     {
@@ -31,16 +31,15 @@ def run(
     p: int = 1,
 ) -> pd.DataFrame:
     """Sweep |D| for one bounded MOT query (1 worker, as in Exp-2): one
-    row per (sf, system) with measured wall, modelled storage time and
-    the exact meter."""
+    row per (sf, system) with measured wall (one run after a warm-up),
+    modelled storage time and the exact meter."""
     rows = []
     for sf in sfs:
         ctx = build_context(spark, mot.WORKLOAD, sf=sf)
         try:
             warm(ctx)
             q = mot.WORKLOAD.template(t_name).instantiate()
-            br = run_baseline(ctx, q)
-            zr = run_zidian(ctx, q)
+            br, zr = timed_pair(ctx, q)
             assert zr.bounded, "exp2 requires a bounded query"
             for system, res in (("baseline", br), ("Zidian", zr)):
                 rows.append(

@@ -9,7 +9,8 @@ Paper numbers (128 GB, 8 workers):
     | comm (MB)  | 4.6e2   | 16.7   | 4.5e2   | 15.4   | 4.5e2   | 15.7   |
 
 We reproduce it at SF=0.1 with one row per system: ``wall_s`` is the
-measured Spark wall time (the same for every backend),
+measured Spark wall time of one run after an untimed warm-up run (the
+same for every backend),
 ``<backend>_storage_s`` the modelled storage time of the metered
 accesses at p=8 (DESIGN.md §5), and #data/#get/comm the exact meter.
 The *shape* to check: Zidian has ~3 orders fewer gets, 1–2 orders fewer
@@ -21,9 +22,9 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from ..runner import build_context, run_baseline, run_zidian, warm
+from ..runner import build_context, warm
 from ..workloads import tpch
-from ._session import get_session, print_table, time_columns
+from ._session import get_session, print_table, time_columns, timed_pair
 
 PAPER = pd.DataFrame(
     {
@@ -44,8 +45,7 @@ def run(spark: SparkSession, *, sf: float = 0.1, p: int = 8) -> pd.DataFrame:
     try:
         warm(ctx)
         q = tpch.WORKLOAD.template("q11").instantiate("GERMANY")
-        br = run_baseline(ctx, q)
-        zr = run_zidian(ctx, q)
+        br, zr = timed_pair(ctx, q)
         return pd.DataFrame([
             {"system": system} | time_columns(res, p) | {
                 "n_data": res.meter["data_values"],

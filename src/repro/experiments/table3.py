@@ -21,9 +21,9 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from ..runner import build_context, run_baseline, run_zidian, warm
+from ..runner import build_context, warm
 from ..workloads import WORKLOADS
-from ._session import get_session, print_table, time_columns
+from ._session import get_session, print_table, time_columns, timed_pair
 
 PAPER = pd.DataFrame(
     {
@@ -44,7 +44,8 @@ def run_workload(
     spark: SparkSession, wl_name: str, *, sf: float, p: int = 8
 ) -> pd.DataFrame:
     """One row per (template, system) over one workload's suite: its
-    scan-free class, measured wall and modelled storage time."""
+    scan-free class, measured wall (one run after a warm-up) and
+    modelled storage time."""
     wl = WORKLOADS[wl_name]
     ctx = build_context(spark, wl, sf=sf)
     try:
@@ -52,8 +53,7 @@ def run_workload(
         rows = []
         for t in wl.templates:
             q = t.instantiate()
-            br = run_baseline(ctx, q)
-            zr = run_zidian(ctx, q)
+            br, zr = timed_pair(ctx, q)
             cls = "scan-free" if t.scan_free else "non-scan-free"
             for system, res in (("baseline", br), ("Zidian", zr)):
                 rows.append(

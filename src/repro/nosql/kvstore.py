@@ -17,7 +17,9 @@ Value widths follow DESIGN.md §5: 8 bytes for numerics/dates/booleans,
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
+from functools import cached_property
 
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -28,13 +30,6 @@ from ..core.schema import BaaVSchema, KVSchema
 
 _STRING_BYTES = 16.0
 _SCALAR_BYTES = 8.0
-
-# Key sets at or below this size are broadcast to the "storage nodes"
-# (the paper's §7.2 step (b): distribute partitions of ~R1 to storage
-# nodes where ~R2 resides). Larger frontiers fall back to a shuffle
-# join, still metered identically.
-BROADCAST_KEY_LIMIT = 2_000_000
-
 
 def col_width(dtype: T.DataType) -> float:
     """Estimated serialized width of one value, in bytes."""
@@ -78,81 +73,86 @@ class KVInstance:
     """One metered KV instance ~D of a KV schema ~R<X,Y> (BaaV).
 
     Physically the flattened relational version, hash-partitioned by the
-    key — the DHT of the paper. ``fetch`` is the multi-get primitive:
-    one ``get`` per distinct key, returning whole blocks. ``scan``
-    iterates all keys (one ``get`` per block, after a ``next()`` walk).
+    key — the DHT of the paper. ``block_sizes`` is the storage layer's
+    index key → |B_k|; every meter charge is read from it. ``fetch`` is
+    the multi-get primitive: one ``get`` per distinct key, returning
+    whole blocks. ``scan`` iterates all keys (one ``get`` per block,
+    after a ``next()`` walk).
     """
 
     def __init__(self, kv: KVSchema, df: DataFrame, meter: Meter) -> None:
         self.kv = kv
         self.meter = meter
         self.df = baav.map_relation(df, kv).persist()
-        self._n_rows: int | None = None
-        self._n_keys: int | None = None
-        self._degree: int | None = None
         self._row_w = row_width(self.df)
         self._key_w = row_width(self.df, list(kv.key))
 
     # -- size stats (not metered: schema-design-time information) ----
+    @cached_property
+    def block_sizes(self) -> dict[tuple, int]:
+        return baav.block_sizes(self.df, self.kv)
+
     @property
     def n_rows(self) -> int:
-        if self._n_rows is None:
-            self._n_rows = self.df.count()
-        return self._n_rows
+        return sum(self.block_sizes.values())
 
     @property
     def n_keys(self) -> int:
-        if self._n_keys is None:
-            self._n_keys = self.df.select(*self.kv.key).distinct().count()
-        return self._n_keys
+        return len(self.block_sizes)
 
-    @property
+    @cached_property
     def degree(self) -> int:
-        """deg(~D) — max block size (paper §4.1)."""
-        if self._degree is None:
-            self._degree = baav.degree(self.df, self.kv)
-        return self._degree
+        """deg(~D) — max block size (paper §4.1). Cached: every answer's
+        bound check reads it."""
+        return max(self.block_sizes.values(), default=0)
 
     @property
     def size_bytes(self) -> float:
         return self.n_rows * self._row_w
 
+    def _rows_of(self, keys: Iterable[tuple]) -> int:
+        """Tuples stored under ``keys``; a key with a null matches none,
+        as in a join."""
+        sizes = self.block_sizes
+        return sum(sizes.get(k, 0) for k in keys if None not in k)
+
     # -- metered access ----------------------------------------------
     def fetch(self, keys: DataFrame) -> DataFrame:
         """Multi-get: retrieve the blocks for the given key tuples.
 
-        ``keys`` must have exactly the key columns of the schema. One
-        ``get`` is charged per distinct key; ``comm`` is charged for the
-        keys shipped down plus the block bytes shipped back (§7.2
-        interleaving).
+        ``keys`` must have exactly the key columns of the schema. Its
+        distinct keys are collected once and shipped to the storage
+        nodes as a broadcast relation (§7.2 step (b)); the result is the
+        lazy join of the instance with them. One ``get`` is charged per
+        distinct key; ``comm`` is charged for the keys shipped down plus
+        the block bytes shipped back (§7.2 interleaving).
         """
         if set(keys.columns) != set(self.kv.key):
             raise ValueError(
                 f"fetch keys {keys.columns} != schema key {self.kv.key}"
             )
-        kdf = keys.select(*self.kv.key).distinct()
-        n_keys = kdf.count()
-        if n_keys <= BROADCAST_KEY_LIMIT:
-            kdf = F.broadcast(kdf)
-        fetched = self.df.join(kdf, on=list(self.kv.key), how="inner")
-        fetched = fetched.persist()
-        n_rows = fetched.count()
+        kdf = keys.select(*self.kv.key)
+        distinct = [tuple(r) for r in kdf.distinct().collect()]
+        n_keys = len(distinct)
+        n_rows = self._rows_of(distinct)
         m = self.meter
         m.gets += n_keys
         m.keys_shipped += n_keys
         m.data_values += n_rows * len(self.kv.columns)
         m.comm_bytes += n_keys * self._key_w + n_rows * self._row_w
-        return fetched
+        shipped = kdf.sparkSession.createDataFrame(distinct, schema=kdf.schema)
+        return self.df.join(F.broadcast(shipped), on=list(self.kv.key), how="inner")
 
     def scan(self) -> DataFrame:
         """Full scan: iterate all keys via ``next()`` and get every
         block. Under BaaV this costs one get per *block* (data
         locality), not per tuple."""
+        n_rows = self.n_rows
         m = self.meter
         m.scans += 1
         m.gets += self.n_keys
-        m.data_values += self.n_rows * len(self.kv.columns)
-        m.comm_bytes += self.n_rows * self._row_w
+        m.data_values += n_rows * len(self.kv.columns)
+        m.comm_bytes += n_rows * self._row_w
         return self.df
 
     def put(self, rows: DataFrame) -> None:
@@ -160,11 +160,9 @@ class KVInstance:
         one put per updated tuple; when the key already exists the
         middleware must rewrite the whole block (the paper's §9 Exp-4
         reason BaaV write throughput is slightly below TaaV's)."""
-        kdf = rows.select(*self.kv.key).distinct()
-        touched = self.df.join(
-            F.broadcast(kdf), on=list(self.kv.key), how="inner"
-        ).count()
-        n_new = rows.count()
+        written = baav.block_sizes(rows, self.kv)
+        n_new = sum(written.values())
+        touched = self._rows_of(written)
         m = self.meter
         m.puts += n_new
         m.data_values += (touched + n_new) * len(self.kv.columns)
@@ -182,12 +180,9 @@ class TaaVStore:
     baseline's data access expensive.
     """
 
-    def __init__(
-        self, relations: dict[str, DataFrame], pks: dict[str, tuple[str, ...]]
-    ) -> None:
+    def __init__(self, relations: dict[str, DataFrame]) -> None:
         self.meter = Meter()
         self._dfs = {name: df.persist() for name, df in relations.items()}
-        self._pks = pks
         self._counts: dict[str, int] = {}
         self._widths = {n: row_width(df) for n, df in self._dfs.items()}
 
@@ -209,19 +204,6 @@ class TaaVStore:
         m.data_values += n * len(df.columns)
         m.comm_bytes += n * self._widths[name]
         return df
-
-    def get(self, name: str, pk_value: tuple) -> DataFrame:
-        """Point get by primary key (one get, one tuple)."""
-        df = self._dfs[name]
-        cond = None
-        for c, v in zip(self._pks[name], pk_value):
-            e = F.col(c) == F.lit(v)
-            cond = e if cond is None else cond & e
-        m = self.meter
-        m.gets += 1
-        m.data_values += len(df.columns)
-        m.comm_bytes += self._widths[name]
-        return df.where(cond)
 
 
 class BaaVStore:

@@ -27,15 +27,14 @@ class BaselineResult:
 
 
 def evaluate_baseline(
-    spark: SparkSession, q: Query, store: TaaVStore, collect: bool = True
+    spark: SparkSession, q: Query, store: TaaVStore
 ) -> BaselineResult:
     """Scan every relation the query mentions, then run its SQL."""
     store.meter.reset()
     t0 = time.perf_counter()
     for rel in sorted({a.relation for a in q.atoms}):
         store.scan(rel).createOrReplaceTempView(rel)
-    out = spark.sql(q.to_sql())
-    if collect:
-        out = out.localCheckpoint(eager=True)  # force execution for timing
+    # Force execution for timing.
+    out = spark.sql(q.to_sql()).localCheckpoint(eager=True)
     wall = time.perf_counter() - t0
     return BaselineResult(out, wall, store.meter.snapshot())

@@ -67,23 +67,21 @@ class Zidian:
         return {kv: inst.degree for kv, inst in self.store.instances.items()}
 
     # -- M3 ----------------------------------------------------------
-    def answer(self, q: Query, collect: bool = True) -> ZidianResult:
+    def answer(self, q: Query) -> ZidianResult:
         """Answer ``q`` over the BaaV store; metered and timed."""
         try:
             p = self.plan(q)
         except NotAnswerable:
             if self.taav_fallback is None:
                 raise
-            base = evaluate_baseline(self.spark, q, self.taav_fallback, collect)
+            base = evaluate_baseline(self.spark, q, self.taav_fallback)
             return ZidianResult(
                 base.df, base.wall_s, base.meter, False, False, True, None
             )
         bounded = plan_is_bounded(p, self.degrees(), self.bound_c)
         self.store.meter.reset()
         t0 = time.perf_counter()
-        out = planmod.execute(p, self.store)
-        if collect:
-            out = out.localCheckpoint(eager=True)
+        out = planmod.execute(p, self.store).localCheckpoint(eager=True)
         wall = time.perf_counter() - t0
         return ZidianResult(
             out,

@@ -42,8 +42,7 @@ def build_context(
     Spark relations, metered TaaV + BaaV stores, Zidian middleware."""
     pdfs = workload.pdfs(sf=sf, seed=seed)
     sdfs = {name: spark.createDataFrame(pdf).persist() for name, pdf in pdfs.items()}
-    pks = {r.name: r.pk for r in workload.catalog}
-    taav = TaaVStore(sdfs, pks)
+    taav = TaaVStore(sdfs)
     store = BaaVStore(workload.baav, sdfs)
     zidian = Zidian(
         spark, workload.catalog, workload.baav, store, taav_fallback=taav
@@ -52,11 +51,12 @@ def build_context(
 
 
 def warm(ctx: RunContext) -> None:
-    """Precompute row counts / degrees outside timed regions."""
+    """Precompute row counts and block-size indexes outside timed
+    regions."""
     for name in ctx.taav.relation_names():
         ctx.taav.n_rows(name)
     for inst in ctx.store.instances.values():
-        _ = inst.n_rows, inst.n_keys, inst.degree
+        _ = inst.block_sizes
 
 
 def run_baseline(ctx: RunContext, q: Query) -> BaselineResult:

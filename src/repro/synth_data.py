@@ -15,12 +15,12 @@ Three dataset families (DESIGN.md §2):
 - **AIRCA-lite** (7 relations, stands in for the US air-carrier data):
   zipfian carrier/airport skew over a deeper join topology.
 
-Every table has a ``*_pdf`` pandas generator (used by fixtures and the
-DuckDB oracle) and a Spark wrapper of the same name without the suffix.
+Every table has a ``*_pdf`` pandas generator; ``runner.build_context``
+turns them into Spark relations, and the DuckDB oracle reads them as they
+are.
 """
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 _N_LINEITEM_PER_SF = 6_000_000
 _N_ORDERS_PER_SF = 1_500_000
@@ -193,39 +193,6 @@ def tpch_pdfs(*, sf: float = 0.01, seed: int = 0) -> dict[str, pd.DataFrame]:
         "nation": nation_pdf(),
         "region": region_pdf(),
     }
-
-
-# Spark wrappers (back-compatible public API)
-def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFrame:
-    return spark.createDataFrame(lineitem_pdf(sf=sf, seed=seed))
-
-
-def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame:
-    return spark.createDataFrame(orders_pdf(sf=sf, seed=seed))
-
-
-def customer(spark: SparkSession, *, sf: float = 0.01, seed: int = 2) -> DataFrame:
-    return spark.createDataFrame(customer_pdf(sf=sf, seed=seed))
-
-
-def part(spark: SparkSession, *, sf: float = 0.01, seed: int = 5) -> DataFrame:
-    return spark.createDataFrame(part_pdf(sf=sf, seed=seed))
-
-
-def supplier(spark: SparkSession, *, sf: float = 0.01, seed: int = 6) -> DataFrame:
-    return spark.createDataFrame(supplier_pdf(sf=sf, seed=seed))
-
-
-def partsupp(spark: SparkSession, *, sf: float = 0.01, seed: int = 7) -> DataFrame:
-    return spark.createDataFrame(partsupp_pdf(sf=sf, seed=seed))
-
-
-def nation(spark: SparkSession) -> DataFrame:
-    return spark.createDataFrame(nation_pdf())
-
-
-def region(spark: SparkSession) -> DataFrame:
-    return spark.createDataFrame(region_pdf())
 
 
 # --------------------------------------------------------------------
@@ -424,27 +391,3 @@ def airca_pdfs(*, sf: float = 0.01, seed: int = 0) -> dict[str, pd.DataFrame]:
         "carrier_stats": airca_carrier_stats_pdf(seed=seed + 35),
         "delay_stats": airca_delay_stats_pdf(seed=seed + 36),
     }
-
-
-# --------------------------------------------------------------------
-# generic key generators (kept from the original module)
-# --------------------------------------------------------------------
-def zipf_keys(
-    spark: SparkSession, *, n: int, n_keys: int, alpha: float = 1.1, seed: int = 3
-) -> DataFrame:
-    """Skewed key column — for join-skew / cardinality-estimation papers."""
-    g = _rng(seed)
-    ranks = np.arange(1, n_keys + 1)
-    weights = 1.0 / ranks**alpha
-    weights /= weights.sum()
-    keys = g.choice(ranks, size=n, p=weights)
-    return spark.createDataFrame(pd.DataFrame({"k": keys, "v": g.random(n)}))
-
-
-def uniform_keys(
-    spark: SparkSession, *, n: int, n_keys: int, seed: int = 4
-) -> DataFrame:
-    g = _rng(seed)
-    return spark.createDataFrame(
-        pd.DataFrame({"k": g.integers(1, n_keys + 1, n), "v": g.random(n)})
-    )

@@ -34,16 +34,17 @@ def test_map_relation_keeps_duplicates(spark):
 
 
 def test_degree(inst):
-    assert baav.degree(inst, KV) == 3
+    """deg(~D) is the largest block size."""
+    assert max(baav.block_sizes(inst, KV).values()) == 3
 
 
 def test_degree_empty(spark):
     df = spark.createDataFrame(pd.DataFrame({"k": [1], "v": [1], "w": ["x"]})).limit(0)
-    assert baav.degree(df, KV) == 0
+    assert baav.block_sizes(df, KV) == {}
 
 
-def test_n_blocks(inst):
-    assert baav.n_blocks(inst, KV) == 3
+def test_block_sizes(inst):
+    assert baav.block_sizes(inst, KV) == {(1,): 3, (2,): 2, (3,): 1}
 
 
 def test_blocks_materialization(inst):
@@ -103,8 +104,7 @@ def test_apply_updates_insert(spark):
     df = spark.createDataFrame(pd.DataFrame({"k": [1], "v": [10], "w": ["a"]}))
     ins = spark.createDataFrame(pd.DataFrame({"k": [1, 2], "v": [11, 20], "w": ["b", "c"]}))
     out = baav.apply_updates(df, KV, inserts=ins)
-    assert out.count() == 3
-    assert baav.degree(out, KV) == 2
+    assert baav.block_sizes(out, KV) == {(1,): 2, (2,): 1}
 
 
 def test_apply_updates_delete_one_occurrence(spark):

@@ -1,6 +1,9 @@
 """Exp-2's boundedness property (paper §6.1, Fig 3): a bounded query
 touches the same amount of data regardless of |D|, while the baseline's
 access grows linearly."""
+import gc
+import time
+
 import pytest
 
 from repro.runner import build_context, run_baseline, run_zidian
@@ -62,3 +65,27 @@ def test_bounded_plan_comm_is_constant_sized(mot_ctx):
     zr = run_zidian(mot_ctx, q)
     assert zr.bounded
     assert zr.meter["comm_bytes"] < 10_000  # a handful of blocks
+
+
+def _persisted_rdds(spark) -> int:
+    """Persisted RDDs still reachable. Spark keeps them in a map with
+    weak values, so the count is read after a Python and a JVM GC. In
+    between, py4j's finalizer thread, which wakes once a second, tells
+    the JVM which objects Python dropped."""
+    gc.collect()
+    time.sleep(1.5)
+    spark.sparkContext._jvm.System.gc()
+    return spark.sparkContext._jsc.getPersistentRDDs().size()
+
+
+def test_answers_leave_no_persisted_rdds(spark, mot_ctx):
+    """Answering bounded queries caches nothing that outlives the
+    answer: the persisted-RDD count does not grow over repeated answers."""
+    q = mot_ctx.workload.template("q1").instantiate()
+    run_zidian(mot_ctx, q)
+    before = _persisted_rdds(spark)
+    for _ in range(5):
+        zr = run_zidian(mot_ctx, q)
+        assert zr.bounded and zr.meter["gets"] > 0
+    del zr
+    assert _persisted_rdds(spark) <= before

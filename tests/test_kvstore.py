@@ -48,12 +48,24 @@ def test_meter_reset_and_snapshot():
     assert m.gets == 0 and m.comm_bytes == 0.0
 
 
-def test_instance_stats(rel):
+def test_instance_stats(spark, rel):
     inst = KVInstance(KV, rel, Meter())
+    assert inst.block_sizes == {(1,): 3, (2,): 2, (3,): 1}
     assert inst.n_rows == 6
     assert inst.n_keys == 3
     assert inst.degree == 3
     assert inst.size_bytes == 6 * 32
+    # The null key is one block like any other.
+    inst = KVInstance(KV, _with_null_keys(spark), Meter())
+    assert inst.block_sizes == {(1,): 1, (None,): 2}
+    assert (inst.n_rows, inst.n_keys, inst.degree) == (3, 2, 2)
+
+
+def _with_null_keys(spark):
+    return spark.createDataFrame(
+        [(1, 10.0, "a"), (None, 11.0, "b"), (None, 12.0, "c")],
+        "k long, v double, w string",
+    )
 
 
 def test_fetch_meters_one_get_per_distinct_key(spark, rel):
@@ -76,6 +88,18 @@ def test_fetch_missing_key_costs_a_get(spark, rel):
     out = inst.fetch(make_spark_keys(spark, ("k",), [(99,)]))
     assert out.count() == 0
     assert m.gets == 1 and m.data_values == 0
+    # No key: no get, nothing back.
+    m.reset()
+    out = inst.fetch(spark.createDataFrame([], "k long"))
+    assert out.count() == 0
+    assert m.gets == 0 and m.data_values == 0 and m.comm_bytes == 0
+    # A null key costs a get but matches no block, not even a null one.
+    null_key = spark.createDataFrame([(None,), (None,)], "k long")
+    for target in (rel, _with_null_keys(spark)):
+        m.reset()
+        out = KVInstance(KV, target, m).fetch(null_key)
+        assert out.count() == 0
+        assert m.gets == 1 and m.data_values == 0
 
 
 def test_fetch_rejects_wrong_key_columns(spark, rel):
@@ -103,24 +127,28 @@ def test_put_meters_block_rewrite(spark, rel):
     assert m.puts == 1
     # a BaaV put rewrites the existing block (3 tuples) + the new one
     assert m.data_values == (3 + 1) * 3
+    assert m.comm_bytes == (3 + 1) * 32
+    # Two tuples for existing key 2, one for new key 7: block 2 is
+    # rewritten once, a new block is written whole.
+    m.reset()
+    rows = spark.createDataFrame(
+        pd.DataFrame({"k": [2, 2, 7], "v": [1.0, 2.0, 3.0], "w": ["x", "y", "z"]})
+    )
+    inst.put(rows)
+    assert m.puts == 3
+    assert m.data_values == (2 + 3) * 3
+    assert m.comm_bytes == (2 + 3) * 32
 
 
 def test_taav_scan_costs_one_get_per_tuple(rel):
     """Under TaaV a scan costs |R| gets (paper §3) — the baseline's
     fundamental handicap."""
-    store = TaaVStore({"r": rel}, {"r": ("k",)})
+    store = TaaVStore({"r": rel})
     out = store.scan("r")
     assert out.count() == 6
     assert store.meter.gets == 6
     assert store.meter.scans == 1
     assert store.meter.data_values == 18
-
-
-def test_taav_point_get(rel):
-    store = TaaVStore({"r": rel}, {"r": ("k",)})
-    out = store.get("r", (2,))
-    assert out.count() == 2
-    assert store.meter.gets == 1
 
 
 def test_baav_store_builds_all_instances(rel):
@@ -147,7 +175,7 @@ def test_baav_store_missing_relation():
 
 def test_baav_scan_vs_taav_scan_get_ratio(rel):
     """The BaaV get saving on scans = average block size."""
-    taav = TaaVStore({"r": rel}, {"r": ("k",)})
+    taav = TaaVStore({"r": rel})
     taav.scan("r")
     m = Meter()
     inst = KVInstance(KV, rel, m)
