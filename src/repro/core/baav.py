@@ -1,12 +1,13 @@
 """BaaV mapping: relational DataFrames ↔ keyed-block KV instances.
 
 The *mapping* of a database ``D`` on a BaaV schema ``~R`` (paper §4.1)
-projects each relation instance on ``XY`` and groups by ``X``. We keep
-the flattened *relational version* as the canonical physical form (a
-DataFrame with key columns first) — grouping to explicit blocks is done
-on demand by :func:`blocks`. Per DESIGN.md the mapping keeps *bag*
-semantics so SQL bag results round-trip; :func:`compress` implements the
-paper's §8.2 counter representation of set-blocks.
+projects each relation instance on ``XY`` and groups by ``X``; the
+store's form of it, with its block index, is ``nosql.kvstore.KVInstance``.
+These are the paper's §8.2 block operations over a Spark relational
+version (key columns first): explicit blocks (:func:`blocks`), block
+splitting, the counter representation of set-blocks (:func:`compress`),
+per-block statistics and incremental maintenance. Per DESIGN.md they
+keep *bag* semantics so SQL bag results round-trip.
 """
 from __future__ import annotations
 
@@ -14,22 +15,6 @@ from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from .schema import KVSchema
-
-
-def map_relation(df: DataFrame, kv: KVSchema) -> DataFrame:
-    """The KV instance of ``df`` under ``kv``: π_XY(df), key cols first.
-
-    Bag semantics (no dedup), see DESIGN.md §2.
-    """
-    return df.select(*kv.columns)
-
-
-def block_sizes(df: DataFrame, kv: KVSchema) -> dict[tuple, int]:
-    """key → |B_k|, the number of tuples sharing the key, for every
-    keyed block (§4.1), the null key included; deg(~D) is the largest
-    value and the number of blocks the number of entries."""
-    counts = df.groupBy(*kv.key).count().collect()
-    return {tuple(r)[:-1]: r["count"] for r in counts}
 
 
 def blocks(df: DataFrame, kv: KVSchema) -> DataFrame:

@@ -1,13 +1,14 @@
 """KBA plans and their metered, interleaved executor (paper §6.2, §7.2).
 
 A :class:`KBAPlan` is an ordered list of operations over a *frontier*
-DataFrame that holds **one column per equality class** of ``min(Q)``,
+frame that holds **one column per equality class** of ``min(Q)``,
 named after the class representative (``alias__column``):
 
 - :class:`SeedOp` — constant keyed blocks (the plan's leaf constants);
-- :class:`FetchOp` — extension ``∝``: ship the frontier's distinct keys
-  to the KV instance, fetch only the matching blocks, natural-join them
-  back in (§7.2 interleaving — data access and computation interleave);
+- :class:`FetchOp` — extension ``∝``: look the frontier's distinct keys
+  up in the KV instance, fetch only the matching blocks, natural-join
+  them back in (§7.2 interleaving — data access and computation
+  interleave);
 - :class:`ScanOp` — a leaf KV instance for atoms that are not scan-free
   (rule (3) of §7.2).
 
@@ -15,14 +16,19 @@ Natural joins on class-representative columns enforce exactly the
 query's equality predicates; residual filters are applied as soon as
 their column exists. A plan with no :class:`ScanOp` is scan-free: its
 only leaves are constants (§4.2).
+
+:func:`execute` runs a plan in the driver process on pandas frames, over
+the keyed-block store of ``nosql.kvstore``, with SQL semantics: null
+join keys match nothing, a comparison with a null is not true, and
+aggregates skip nulls.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+import pandas as pd
 
 from ..nosql.kvstore import BaaVStore
 from .query import (
@@ -105,101 +111,87 @@ class KBAPlan:
         return "\n".join(lines)
 
 
-class _Frontier:
-    """Execution state: the running natural join of plan operations."""
+# SQL comparison operators of filters and ``having`` clauses.
+_CMP = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "<>": operator.ne,
+    "=": operator.eq,
+}
 
-    def __init__(self, store: BaaVStore) -> None:
-        self.store = store
-        self.df: DataFrame | None = None
 
-    def merge(self, other: DataFrame) -> None:
-        if self.df is None:
-            self.df = other
-            return
-        shared = sorted(set(self.df.columns) & set(other.columns))
-        if shared:
-            self.df = self.df.join(other, on=shared, how="inner")
-        else:
-            self.df = self.df.crossJoin(other)
+def _where(df: pd.DataFrame, col: str, op: str, value: object) -> pd.DataFrame:
+    """Rows where ``col op value`` is true; a null compares to nothing,
+    ``<>`` included, as in SQL."""
+    c = df[col]
+    return df[_CMP[op](c, value) & c.notna()]
+
+
+def _merge(frontier: pd.DataFrame | None, other: pd.DataFrame) -> pd.DataFrame:
+    """Natural join on the shared class columns; SQL never equates two
+    nulls, so rows with a null join key drop out first."""
+    if frontier is None:
+        return other
+    shared = sorted(set(frontier.columns) & set(other.columns))
+    if not shared:
+        return frontier.merge(other, how="cross")
+    return frontier.dropna(subset=shared).merge(
+        other.dropna(subset=shared), on=shared, how="inner"
+    )
 
 
 def _rename_to_classes(
-    df: DataFrame, atom: Atom, kv: KVSchema, ec: EqClasses
-) -> DataFrame:
+    df: pd.DataFrame, atom: Atom, kv: KVSchema, ec: EqClasses
+) -> pd.DataFrame:
     """Rename an instance's columns to class-representative names; if two
     columns of one atom share a class (intra-atom equality), keep one
     and filter equality first."""
-    exprs: list = []
-    used: dict[str, str] = {}  # rep col -> original col kept
-    conds = []
+    kept: dict[str, str] = {}  # rep col -> original col kept
     for c in kv.columns:
         rep = rep_col(ec.find((atom.alias, c)))
-        if rep in used:
-            conds.append(F.col(used[rep]) == F.col(c))
+        if rep in kept:
+            df = df[df[kept[rep]] == df[c]]
         else:
-            used[rep] = c
-            exprs.append(F.col(c).alias(rep))
-    for cond in conds:
-        df = df.where(cond)
-    return df.select(*exprs)
+            kept[rep] = c
+    return df[list(kept.values())].set_axis(list(kept), axis=1)
 
 
-def _seed_df(store: BaaVStore, op: SeedOp) -> DataFrame:
-    spark = next(iter(store.instances.values())).df.sparkSession
+def _seed(op: SeedOp) -> pd.DataFrame:
     cols = [c for c, _ in op.columns]
     lists = [v if isinstance(v, tuple) else (v,) for _, v in op.columns]
-    rows = [tuple(r) for r in itertools.product(*lists)]
-    return spark.createDataFrame(rows, schema=cols)
+    return pd.DataFrame(list(itertools.product(*lists)), columns=cols)
 
 
-def execute(plan: KBAPlan, store: BaaVStore) -> DataFrame:
+def execute(plan: KBAPlan, store: BaaVStore) -> pd.DataFrame:
     """Execute a KBA plan over a BaaV store with metered data access.
 
-    Returns a DataFrame whose columns match ``query.to_sql()`` output
-    (same names, same bag of rows).
+    Returns a frame whose columns match ``query.to_sql()`` output (same
+    names, same bag of rows).
     """
-    fr = _Frontier(store)
+    frontier: pd.DataFrame | None = None
     pending = list(plan.filters)
-
-    def apply_filters() -> None:
-        """Filter pushdown: apply a residual predicate as soon as its
-        class column is materialized."""
-        if fr.df is None:
-            return
-        for f in list(pending):
-            col = rep_col(plan.ec.find(f.attr))
-            if col in fr.df.columns:
-                op = "!=" if f.op == "<>" else f.op
-                fr.df = fr.df.where(_filter_expr(col, op, f.value))
-                pending.remove(f)
-
     for op in plan.ops:
         if isinstance(op, SeedOp):
-            fr.merge(_seed_df(store, op))
+            part = _seed(op)
         elif isinstance(op, FetchOp):
-            assert fr.df is not None, "fetch before any seed/scan"
-            keys = fr.df.select(*[F.col(fc).alias(kc) for kc, fc in op.key_cols])
-            fetched = store[op.kv].fetch(keys)
-            fr.merge(_rename_to_classes(fetched, op.atom, op.kv, plan.ec))
+            assert frontier is not None, "fetch before any seed/scan"
+            keys = pd.DataFrame({kc: frontier[fc] for kc, fc in op.key_cols})
+            part = _rename_to_classes(store[op.kv].fetch(keys), op.atom, op.kv, plan.ec)
         else:  # ScanOp
-            scanned = store[op.kv].scan()
-            fr.merge(_rename_to_classes(scanned, op.atom, op.kv, plan.ec))
-        apply_filters()
-    assert fr.df is not None, "empty plan"
+            part = _rename_to_classes(store[op.kv].scan(), op.atom, op.kv, plan.ec)
+        frontier = _merge(frontier, part)
+        # Filter pushdown: apply a residual predicate as soon as its
+        # class column is materialized.
+        for f in list(pending):
+            col = rep_col(plan.ec.find(f.attr))
+            if col in frontier.columns:
+                frontier = _where(frontier, col, f.op, f.value)
+                pending.remove(f)
+    assert frontier is not None, "empty plan"
     assert not pending, f"unapplied filters {pending}"
-    return _finalize(plan, fr.df)
-
-
-def _filter_expr(col: str, op: str, value: object):
-    c = F.col(col)
-    v = F.lit(value)
-    return {
-        "<": c < v,
-        "<=": c <= v,
-        ">": c > v,
-        ">=": c >= v,
-        "!=": c != v,
-    }[op]
+    return _finalize(plan, frontier).reset_index(drop=True)
 
 
 def _minq_col(plan: KBAPlan, orig: Attr) -> str:
@@ -208,49 +200,40 @@ def _minq_col(plan: KBAPlan, orig: Attr) -> str:
     return rep_col(plan.ec.find(a))
 
 
-def _finalize(plan: KBAPlan, df: DataFrame) -> DataFrame:
+def _aggregate(col, g: Aggregate):
+    """``g`` over a column or a grouped column: ``sum`` of no value is
+    NULL, ``count`` counts the non-null values."""
+    if g.func == "sum":
+        return col.sum(min_count=1)
+    return col.mean() if g.func == "avg" else getattr(col, g.func)()
+
+
+def _finalize(plan: KBAPlan, df: pd.DataFrame) -> pd.DataFrame:
     q = plan.query
-    if isinstance(q, GroupByQuery):
-        group_cols = [
-            F.col(_minq_col(plan, a)).alias(attr_name(a)) for a in q.group_by
-        ]
-        agg_inputs = []
-        for i, g in enumerate(q.aggs):
-            if g.expr is not None:
-                tmpl, attrs = g.expr
-                rendered = tmpl.format(*[_minq_col(plan, a) for a in attrs])
-                agg_inputs.append(F.expr(rendered).alias(f"__agg_{i}"))
-            elif g.attr is not None:
-                agg_inputs.append(
-                    F.col(_minq_col(plan, g.attr)).alias(f"__agg_{i}")
-                )
-        grouped = df.select(*group_cols, *agg_inputs)
-        exprs = []
-        for i, g in enumerate(q.aggs):
-            if g.attr is None and g.expr is None:
-                exprs.append(F.count(F.lit(1)).alias(g.alias))
-            else:
-                fn = getattr(F, g.func)
-                exprs.append(fn(F.col(f"__agg_{i}")).alias(g.alias))
-        out = grouped.groupBy(*[attr_name(a) for a in q.group_by]).agg(*exprs)
-        for alias, op, v in q.having:
-            sql_op = "!=" if op == "<>" else ("==" if op == "=" else op)
-            out = out.where(_having_expr(alias, sql_op, v))
-        return out
-    # plain SPC
-    out = df.select(
-        *[F.col(_minq_col(plan, a)).alias(attr_name(a)) for a in q.projection]
-    )
-    return out.dropDuplicates() if q.distinct else out
-
-
-def _having_expr(col: str, op: str, value: object):
-    c, v = F.col(col), F.lit(value)
-    return {
-        "<": c < v,
-        "<=": c <= v,
-        ">": c > v,
-        ">=": c >= v,
-        "!=": c != v,
-        "==": c == v,
-    }[op]
+    if not isinstance(q, GroupByQuery):
+        out = pd.DataFrame({attr_name(a): df[_minq_col(plan, a)] for a in q.projection})
+        return out.drop_duplicates() if q.distinct else out
+    keys = [attr_name(a) for a in q.group_by]
+    data = pd.DataFrame({k: df[_minq_col(plan, a)] for k, a in zip(keys, q.group_by)})
+    for i, g in enumerate(q.aggs):
+        if g.expr is not None:
+            tmpl, attrs = g.expr
+            data[f"__agg_{i}"] = df.eval(tmpl.format(*[_minq_col(plan, a) for a in attrs]))
+        elif g.attr is not None:
+            data[f"__agg_{i}"] = df[_minq_col(plan, g.attr)]
+    if keys:
+        grouped = data.groupby(keys, dropna=False, sort=False)
+        out = grouped.size().rename("__size").reset_index()
+    else:  # a global aggregate has one row, even over empty input
+        grouped = data
+        out = pd.DataFrame({"__size": [len(df)]})
+    for i, g in enumerate(q.aggs):
+        if g.attr is None and g.expr is None:
+            out[g.alias] = out["__size"]
+        else:
+            agg = _aggregate(grouped[f"__agg_{i}"], g)
+            out[g.alias] = agg.to_numpy() if keys else [agg]
+    out = out.drop(columns="__size")
+    for alias, op, v in q.having:
+        out = _where(out, alias, op, v)
+    return out

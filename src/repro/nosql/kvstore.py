@@ -1,9 +1,11 @@
 """Metered key-value storage substrate (simulated NoSQL layer).
 
 The paper's storage layer (HBase/Kudu/Cassandra) exposes ``get``,
-``put`` and ``next`` (paper §3). Here the storage layer is simulated
-in-process over Spark DataFrames, and — crucially for Table 2 — every
-access path is *metered*:
+``put`` and ``next`` (paper §3). Here it is simulated in-process: the
+BaaV store keeps each KV instance as a keyed-block frame in the driver
+(:class:`KVInstance`), and the baseline's TaaV store keeps its relations
+in Spark (:class:`TaaVStore`). Crucially for Table 2, every access path
+is *metered*:
 
 - ``#get``    — one per key probed (BaaV) or per tuple (TaaV scans);
 - ``#data``   — attribute values read from storage;
@@ -17,15 +19,13 @@ Value widths follow DESIGN.md §5: 8 bytes for numerics/dates/booleans,
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
 
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+import numpy as np
+import pandas as pd
+from pyspark.sql import DataFrame
 from pyspark.sql import types as T
 
-from ..core import baav
 from ..core.schema import BaaVSchema, KVSchema
 
 _STRING_BYTES = 16.0
@@ -72,78 +72,99 @@ class Meter:
 class KVInstance:
     """One metered KV instance ~D of a KV schema ~R<X,Y> (BaaV).
 
-    Physically the flattened relational version, hash-partitioned by the
-    key — the DHT of the paper. ``block_sizes`` is the storage layer's
-    index key → |B_k|; every meter charge is read from it. ``fetch`` is
-    the multi-get primitive: one ``get`` per distinct key, returning
+    The storage layer keeps the relational version π_XY of the relation
+    in the driver process, one frame with every block contiguous, and a
+    block index key → ``[start, end)`` built once here. ``get(k)`` is
+    one slice of the frame: the block B_k as one value (§3, §4.1).
+    Every size stat and meter charge is read from the index. ``fetch``
+    is the multi-get primitive: one ``get`` per distinct key, returning
     whole blocks. ``scan`` iterates all keys (one ``get`` per block,
-    after a ``next()`` walk).
+    after a ``next()`` walk). ``df`` is the lazy Spark projection the
+    frame was built from.
     """
 
     def __init__(self, kv: KVSchema, df: DataFrame, meter: Meter) -> None:
         self.kv = kv
         self.meter = meter
-        self.df = baav.map_relation(df, kv).persist()
+        self.df = df.select(*kv.columns)
         self._row_w = row_width(self.df)
         self._key_w = row_width(self.df, list(kv.key))
+        rel = self.df.toPandas()
+        groups = rel.groupby(list(kv.key), sort=True, dropna=False)
+        order = np.argsort(groups.ngroup().to_numpy(), kind="stable")
+        self.rel = rel.take(order).reset_index(drop=True)
+        sizes = groups.size()
+        self._keys = sizes.index  # one entry per block, in frame order
+        self._sizes = sizes.to_numpy()
+        self._starts = np.cumsum(self._sizes) - self._sizes
+        self.degree = int(self._sizes.max(initial=0))  # deg(~D), §4.1
 
     # -- size stats (not metered: schema-design-time information) ----
-    @cached_property
+    @property
     def block_sizes(self) -> dict[tuple, int]:
-        return baav.block_sizes(self.df, self.kv)
+        """key → |B_k|; the null key is one block like any other."""
+        keys = self._keys.to_frame(index=False).astype(object)
+        keys = keys.where(keys.notna(), None)
+        return dict(zip(keys.itertuples(index=False, name=None), self._sizes.tolist()))
 
     @property
     def n_rows(self) -> int:
-        return sum(self.block_sizes.values())
+        return len(self.rel)
 
     @property
     def n_keys(self) -> int:
-        return len(self.block_sizes)
-
-    @cached_property
-    def degree(self) -> int:
-        """deg(~D) — max block size (paper §4.1). Cached: every answer's
-        bound check reads it."""
-        return max(self.block_sizes.values(), default=0)
+        return len(self._sizes)
 
     @property
     def size_bytes(self) -> float:
         return self.n_rows * self._row_w
 
-    def _rows_of(self, keys: Iterable[tuple]) -> int:
-        """Tuples stored under ``keys``; a key with a null matches none,
-        as in a join."""
-        sizes = self.block_sizes
-        return sum(sizes.get(k, 0) for k in keys if None not in k)
+    def _lookup(self, keys: pd.DataFrame) -> tuple[int, np.ndarray]:
+        """The number of distinct keys in ``keys`` and the block numbers
+        of those stored. A key with a null matches no block, as in a
+        join."""
+        distinct = keys[list(self.kv.key)].drop_duplicates()
+        probe = distinct.dropna()
+        if len(self.kv.key) == 1:
+            probe = pd.Index(probe.iloc[:, 0])
+        else:
+            probe = pd.MultiIndex.from_frame(probe)
+        blocks = self._keys.get_indexer(probe)
+        return len(distinct), blocks[blocks >= 0]
 
     # -- metered access ----------------------------------------------
-    def fetch(self, keys: DataFrame) -> DataFrame:
+    def fetch(self, keys: pd.DataFrame | DataFrame) -> pd.DataFrame | DataFrame:
         """Multi-get: retrieve the blocks for the given key tuples.
 
         ``keys`` must have exactly the key columns of the schema. Its
-        distinct keys are collected once and shipped to the storage
-        nodes as a broadcast relation (§7.2 step (b)); the result is the
-        lazy join of the instance with them. One ``get`` is charged per
-        distinct key; ``comm`` is charged for the keys shipped down plus
-        the block bytes shipped back (§7.2 interleaving).
+        distinct keys are looked up in the block index at once and the
+        blocks' slices are returned together (§7.2 step (b)). One
+        ``get`` is charged per distinct key; ``comm`` is charged for the
+        keys shipped down plus the block bytes shipped back (§7.2
+        interleaving). A Spark ``keys`` frame is collected once and the
+        blocks return as a Spark frame.
         """
         if set(keys.columns) != set(self.kv.key):
-            raise ValueError(
-                f"fetch keys {keys.columns} != schema key {self.kv.key}"
-            )
-        kdf = keys.select(*self.kv.key)
-        distinct = [tuple(r) for r in kdf.distinct().collect()]
-        n_keys = len(distinct)
-        n_rows = self._rows_of(distinct)
+            raise ValueError(f"fetch keys {list(keys.columns)} != schema key {self.kv.key}")
+        if isinstance(keys, DataFrame):
+            out = self._fetch(keys.select(*self.kv.key).toPandas())
+            return keys.sparkSession.createDataFrame(out, schema=self.df.schema)
+        return self._fetch(keys)
+
+    def _fetch(self, keys: pd.DataFrame) -> pd.DataFrame:
+        n_keys, blocks = self._lookup(keys)
+        sizes = self._sizes[blocks]
+        offsets = np.cumsum(sizes) - sizes  # each block's first output row
+        rows = np.repeat(self._starts[blocks] - offsets, sizes) + np.arange(sizes.sum())
+        n_rows = len(rows)
         m = self.meter
         m.gets += n_keys
         m.keys_shipped += n_keys
         m.data_values += n_rows * len(self.kv.columns)
         m.comm_bytes += n_keys * self._key_w + n_rows * self._row_w
-        shipped = kdf.sparkSession.createDataFrame(distinct, schema=kdf.schema)
-        return self.df.join(F.broadcast(shipped), on=list(self.kv.key), how="inner")
+        return self.rel.take(rows)
 
-    def scan(self) -> DataFrame:
+    def scan(self) -> pd.DataFrame:
         """Full scan: iterate all keys via ``next()`` and get every
         block. Under BaaV this costs one get per *block* (data
         locality), not per tuple."""
@@ -153,23 +174,22 @@ class KVInstance:
         m.gets += self.n_keys
         m.data_values += n_rows * len(self.kv.columns)
         m.comm_bytes += n_rows * self._row_w
-        return self.df
+        return self.rel
 
-    def put(self, rows: DataFrame) -> None:
+    def put(self, rows: pd.DataFrame | DataFrame) -> None:
         """Metered write path (throughput experiments): the client issues
         one put per updated tuple; when the key already exists the
         middleware must rewrite the whole block (the paper's §9 Exp-4
         reason BaaV write throughput is slightly below TaaV's)."""
-        written = baav.block_sizes(rows, self.kv)
-        n_new = sum(written.values())
-        touched = self._rows_of(written)
+        if isinstance(rows, DataFrame):
+            rows = rows.select(*self.kv.key).toPandas()
+        n_new = len(rows)
+        _, blocks = self._lookup(rows)
+        touched = int(self._sizes[blocks].sum())
         m = self.meter
         m.puts += n_new
         m.data_values += (touched + n_new) * len(self.kv.columns)
         m.comm_bytes += (touched + n_new) * self._row_w
-
-    def unpersist(self) -> None:
-        self.df.unpersist()
 
 
 class TaaVStore:
@@ -233,13 +253,3 @@ class BaaVStore:
     def size_bytes(self) -> float:
         return sum(i.size_bytes for i in self.instances.values())
 
-    def unpersist(self) -> None:
-        for i in self.instances.values():
-            i.unpersist()
-
-
-def make_spark_keys(
-    spark: SparkSession, key_cols: tuple[str, ...], rows: list[tuple]
-) -> DataFrame:
-    """Build a small keys DataFrame (constant seeds) for ``fetch``."""
-    return spark.createDataFrame(rows, schema=list(key_cols))

@@ -9,7 +9,10 @@
 - **M2** — generate a KBA plan, scan-free whenever the query is
   scan-free (Condition III / Thms 4–6).
 - **M3** — execute the plan with interleaved data access (§7.2): the
-  frontier's keys are shipped to storage, only matching blocks return.
+  frontier's keys are looked up in the keyed-block store, only matching
+  blocks return. The plan runs in the driver process; the finished
+  answer is shipped into Spark once, so a Zidian result is a Spark
+  DataFrame like the baseline's.
 
 M4 (BaaV schema design) lives in ``repro.core.t2b``.
 """
@@ -18,7 +21,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql.pandas.types import from_arrow_schema
 
 from ..core import plan as planmod
 from ..core.plangen import NotAnswerable, generate_plan, plan_is_bounded
@@ -66,6 +72,12 @@ class Zidian:
     def degrees(self) -> dict:
         return {kv: inst.degree for kv, inst in self.store.instances.items()}
 
+    def _to_spark(self, pdf: pd.DataFrame) -> DataFrame:
+        """Ship an answer into Spark. The schema is explicit because
+        Spark infers none from an empty frame; NaN arrives as NULL."""
+        schema = from_arrow_schema(pa.Schema.from_pandas(pdf, preserve_index=False))
+        return self.spark.createDataFrame(pdf, schema=schema)
+
     # -- M3 ----------------------------------------------------------
     def answer(self, q: Query) -> ZidianResult:
         """Answer ``q`` over the BaaV store; metered and timed."""
@@ -81,7 +93,7 @@ class Zidian:
         bounded = plan_is_bounded(p, self.degrees(), self.bound_c)
         self.store.meter.reset()
         t0 = time.perf_counter()
-        out = planmod.execute(p, self.store).localCheckpoint(eager=True)
+        out = self._to_spark(planmod.execute(p, self.store))
         wall = time.perf_counter() - t0
         return ZidianResult(
             out,

@@ -2,9 +2,9 @@
 through both systems (baseline SQL-over-NoSQL and Zidian).
 
 This is the shared harness behind the tests, the experiment drivers
-(``repro.experiments``) and perfbench. ``RunContext`` owns the pandas ground truth (for the
-DuckDB oracle), the Spark relations, the metered TaaV store (baseline)
-and BaaV store (Zidian).
+(``repro.experiments``) and perfbench. ``RunContext`` owns the pandas
+ground truth (for the DuckDB oracle), the Spark relations, the metered
+TaaV store (baseline) and the driver-side BaaV store (Zidian).
 """
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ class RunContext:
     zidian: Zidian
 
     def close(self) -> None:
-        self.store.unpersist()
         for df in self.sdfs.values():
             df.unpersist()
 
@@ -51,12 +50,10 @@ def build_context(
 
 
 def warm(ctx: RunContext) -> None:
-    """Precompute row counts and block-size indexes outside timed
-    regions."""
+    """Precompute the TaaV row counts outside timed regions (the BaaV
+    block indexes are built with the store)."""
     for name in ctx.taav.relation_names():
         ctx.taav.n_rows(name)
-    for inst in ctx.store.instances.values():
-        _ = inst.block_sizes
 
 
 def run_baseline(ctx: RunContext, q: Query) -> BaselineResult:

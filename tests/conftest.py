@@ -1,8 +1,9 @@
 """Shared test fixtures: one materialized store per workload per session.
 
 The ``spark`` fixture comes from the repo-root conftest. Contexts are
-session-scoped because building a BaaV store persists many KV instances
-— rebuilding per test would dominate the suite's runtime.
+session-scoped because building one persists every relation in Spark
+and collects every KV instance into the driver-side keyed-block store —
+rebuilding per test would dominate the suite's runtime.
 """
 import numpy as np
 import pytest

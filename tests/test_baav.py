@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import baav
 from repro.core.schema import KVSchema
+from repro.nosql.kvstore import KVInstance, Meter
 
 KV = KVSchema("r", ("k",), ("v", "w"))
 
@@ -21,30 +22,38 @@ def inst(spark):
     return spark.createDataFrame(pdf)
 
 
+def _mapped(df) -> KVInstance:
+    """The KV instance of ``df`` under ``KV`` (the mapping of §4.1)."""
+    return KVInstance(KV, df, Meter())
+
+
 def test_map_relation_projects_key_first(inst):
-    out = baav.map_relation(inst, KV)
-    assert out.columns == ["k", "v", "w"]
-    assert out.count() == 6  # bag semantics: no dedup
+    out = _mapped(inst)
+    assert out.df.columns == ["k", "v", "w"]
+    assert list(out.rel.columns) == ["k", "v", "w"]
+    assert out.n_rows == 6  # bag semantics: no dedup
 
 
 def test_map_relation_keeps_duplicates(spark):
     pdf = pd.DataFrame({"k": [1, 1], "v": [5, 5], "w": ["x", "x"], })
-    out = baav.map_relation(spark.createDataFrame(pdf), KV)
-    assert out.count() == 2
+    out = _mapped(spark.createDataFrame(pdf))
+    assert out.n_rows == 2 and out.block_sizes == {(1,): 2}
 
 
 def test_degree(inst):
     """deg(~D) is the largest block size."""
-    assert max(baav.block_sizes(inst, KV).values()) == 3
+    assert _mapped(inst).degree == 3
 
 
 def test_degree_empty(spark):
     df = spark.createDataFrame(pd.DataFrame({"k": [1], "v": [1], "w": ["x"]})).limit(0)
-    assert baav.block_sizes(df, KV) == {}
+    out = _mapped(df)
+    assert out.block_sizes == {}
+    assert (out.degree, out.n_keys, out.n_rows) == (0, 0, 0)
 
 
 def test_block_sizes(inst):
-    assert baav.block_sizes(inst, KV) == {(1,): 3, (2,): 2, (3,): 1}
+    assert _mapped(inst).block_sizes == {(1,): 3, (2,): 2, (3,): 1}
 
 
 def test_blocks_materialization(inst):
@@ -64,7 +73,7 @@ def test_split_blocks_respects_threshold(inst):
 
 
 def test_split_unsplit_roundtrip(inst):
-    mapped = baav.map_relation(inst, KV)
+    mapped = inst.select(*KV.columns)
     out = baav.unsplit_blocks(baav.split_blocks(mapped, KV, threshold=1))
     assert sorted(map(tuple, out.collect())) == sorted(
         map(tuple, mapped.collect())
@@ -104,7 +113,7 @@ def test_apply_updates_insert(spark):
     df = spark.createDataFrame(pd.DataFrame({"k": [1], "v": [10], "w": ["a"]}))
     ins = spark.createDataFrame(pd.DataFrame({"k": [1, 2], "v": [11, 20], "w": ["b", "c"]}))
     out = baav.apply_updates(df, KV, inserts=ins)
-    assert baav.block_sizes(out, KV) == {(1,): 2, (2,): 1}
+    assert _mapped(out).block_sizes == {(1,): 2, (2,): 1}
 
 
 def test_apply_updates_delete_one_occurrence(spark):

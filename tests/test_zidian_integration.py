@@ -129,4 +129,3 @@ def test_fallback_to_sql_layer_when_not_answerable(contexts):
     res = z.answer(q)
     assert res.fallback
     oracle_check(ctx, q, res.df)
-    store.unpersist()
