@@ -1,11 +1,13 @@
 """Metered key-value storage substrate (simulated NoSQL layer).
 
 The paper's storage layer (HBase/Kudu/Cassandra) exposes ``get``,
-``put`` and ``next`` (paper §3). Here it is simulated in-process: the
-BaaV store keeps each KV instance as a keyed-block frame in the driver
-(:class:`KVInstance`), and the baseline's TaaV store keeps its relations
-in Spark (:class:`TaaVStore`). Crucially for Table 2, every access path
-is *metered*:
+``put`` and ``next`` (paper §3). Here it is simulated in-process, and
+both stores are built from the pandas relations: the BaaV store keeps
+each KV instance as a keyed-block frame in the driver
+(:class:`KVInstance`), and the baseline's TaaV store ships its
+relations into Spark and persists them there (:class:`TaaVStore`).
+:func:`to_spark` is the one way a pandas frame enters Spark. Crucially
+for Table 2, every access path is *metered*:
 
 - ``#get``    — one per key probed (BaaV) or per tuple (TaaV scans);
 - ``#data``   — attribute values read from storage;
@@ -14,8 +16,8 @@ is *metered*:
 - ``scans``   — number of full-instance scans (scan-free plans must
                 keep this at 0, Proposition 7).
 
-Value widths follow DESIGN.md §5: 8 bytes for numerics/dates/booleans,
-16 bytes for strings.
+Value widths follow DESIGN.md §5 and come from each column's Arrow
+type: 16 bytes for strings, 8 bytes for every other type.
 """
 from __future__ import annotations
 
@@ -23,23 +25,32 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import types as T
+import pyarrow as pa
+from pyspark.sql import DataFrame, SparkSession
 
 from ..core.schema import BaaVSchema, KVSchema
 
 _STRING_BYTES = 16.0
 _SCALAR_BYTES = 8.0
 
-def col_width(dtype: T.DataType) -> float:
+
+def to_spark(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
+    """Ship a pandas frame into Spark by Arrow. The types come from the
+    frame's Arrow schema, so an empty frame keeps its numeric types and
+    NaN arrives as NULL."""
+    return spark.createDataFrame(pa.Table.from_pandas(pdf, preserve_index=False))
+
+
+def col_width(dtype: pa.DataType) -> float:
     """Estimated serialized width of one value, in bytes."""
-    return _STRING_BYTES if isinstance(dtype, T.StringType) else _SCALAR_BYTES
+    return _STRING_BYTES if pa.types.is_string(dtype) else _SCALAR_BYTES
 
 
-def row_width(df: DataFrame, cols: list[str] | None = None) -> float:
-    fields = {f.name: f.dataType for f in df.schema.fields}
-    names = cols if cols is not None else list(fields)
-    return float(sum(col_width(fields[c]) for c in names))
+def row_width(pdf: pd.DataFrame, cols: list[str] | None = None) -> float:
+    """Estimated serialized width of one tuple of ``pdf`` (or of its
+    columns ``cols``), from the columns' Arrow types."""
+    schema = pa.Schema.from_pandas(pdf if cols is None else pdf[cols], preserve_index=False)
+    return float(sum(col_width(f.type) for f in schema))
 
 
 @dataclass
@@ -72,32 +83,37 @@ class Meter:
 class KVInstance:
     """One metered KV instance ~D of a KV schema ~R<X,Y> (BaaV).
 
-    The storage layer keeps the relational version π_XY of the relation
-    in the driver process, one frame with every block contiguous, and a
-    block index key → ``[start, end)`` built once here. ``get(k)`` is
-    one slice of the frame: the block B_k as one value (§3, §4.1).
+    The storage layer keeps a copy of the relational version π_XY of a
+    pandas relation in the driver process, one frame with every block
+    contiguous, and a block index key → ``[start, end)`` built once
+    here. ``get(k)`` is one slice of the frame: the block B_k as one
+    value (§3, §4.1).
     Every size stat and meter charge is read from the index. ``fetch``
     is the multi-get primitive: one ``get`` per distinct key, returning
     whole blocks. ``scan`` iterates all keys (one ``get`` per block,
-    after a ``next()`` walk). ``df`` is the lazy Spark projection the
-    frame was built from.
+    after a ``next()`` walk).
     """
 
-    def __init__(self, kv: KVSchema, df: DataFrame, meter: Meter) -> None:
+    def __init__(self, kv: KVSchema, rel: pd.DataFrame, meter: Meter) -> None:
         self.kv = kv
         self.meter = meter
-        self.df = df.select(*kv.columns)
-        self._row_w = row_width(self.df)
-        self._key_w = row_width(self.df, list(kv.key))
-        rel = self.df.toPandas()
+        rel = rel[list(kv.columns)]  # a copy: the caller's frame is never aliased
         groups = rel.groupby(list(kv.key), sort=True, dropna=False)
         order = np.argsort(groups.ngroup().to_numpy(), kind="stable")
         self.rel = rel.take(order).reset_index(drop=True)
+        self._row_w = row_width(self.rel)
+        self._key_w = row_width(self.rel, list(kv.key))
         sizes = groups.size()
         self._keys = sizes.index  # one entry per block, in frame order
         self._sizes = sizes.to_numpy()
         self._starts = np.cumsum(self._sizes) - self._sizes
         self.degree = int(self._sizes.max(initial=0))  # deg(~D), §4.1
+
+    @property
+    def df(self) -> DataFrame:
+        """The relational version shipped into Spark on the active
+        session. Its one reader is perfbench's traced ``visible_frac``."""
+        return to_spark(SparkSession.active(), self.rel)
 
     # -- size stats (not metered: schema-design-time information) ----
     @property
@@ -142,13 +158,13 @@ class KVInstance:
         ``get`` is charged per distinct key; ``comm`` is charged for the
         keys shipped down plus the block bytes shipped back (§7.2
         interleaving). A Spark ``keys`` frame is collected once and the
-        blocks return as a Spark frame.
+        blocks are shipped back into its session.
         """
         if set(keys.columns) != set(self.kv.key):
             raise ValueError(f"fetch keys {list(keys.columns)} != schema key {self.kv.key}")
         if isinstance(keys, DataFrame):
             out = self._fetch(keys.select(*self.kv.key).toPandas())
-            return keys.sparkSession.createDataFrame(out, schema=self.df.schema)
+            return to_spark(keys.sparkSession, out)
         return self._fetch(keys)
 
     def _fetch(self, keys: pd.DataFrame) -> pd.DataFrame:
@@ -197,27 +213,24 @@ class TaaVStore:
 
     Each relation is a set of KV pairs (primary key -> whole tuple). A
     scan of R incurs |R| ``get`` invocations; this is what makes the
-    baseline's data access expensive.
+    baseline's data access expensive. The relations are shipped into
+    Spark and persisted there; sizes and widths are read from the
+    pandas frames.
     """
 
-    def __init__(self, relations: dict[str, DataFrame]) -> None:
+    def __init__(self, spark: SparkSession, relations: dict[str, pd.DataFrame]) -> None:
         self.meter = Meter()
-        self._dfs = {name: df.persist() for name, df in relations.items()}
-        self._counts: dict[str, int] = {}
-        self._widths = {n: row_width(df) for n, df in self._dfs.items()}
-
-    def relation_names(self) -> list[str]:
-        return list(self._dfs)
+        self.dfs = {name: to_spark(spark, pdf).persist() for name, pdf in relations.items()}
+        self._n_rows = {name: len(pdf) for name, pdf in relations.items()}
+        self._widths = {name: row_width(pdf) for name, pdf in relations.items()}
 
     def n_rows(self, name: str) -> int:
-        if name not in self._counts:
-            self._counts[name] = self._dfs[name].count()
-        return self._counts[name]
+        return self._n_rows[name]
 
     def scan(self, name: str) -> DataFrame:
         """Scan a relation: one get per tuple, whole relation shipped."""
-        df = self._dfs[name]
-        n = self.n_rows(name)
+        df = self.dfs[name]
+        n = self._n_rows[name]
         m = self.meter
         m.scans += 1
         m.gets += n
@@ -225,13 +238,17 @@ class TaaVStore:
         m.comm_bytes += n * self._widths[name]
         return df
 
+    def close(self) -> None:
+        for df in self.dfs.values():
+            df.unpersist()
+
 
 class BaaVStore:
     """A BaaV store ~D: the KV instances of all KV schemas in ~R over a
     database D (paper §4.1), sharing one meter."""
 
     def __init__(
-        self, schema: BaaVSchema, relations: dict[str, DataFrame]
+        self, schema: BaaVSchema, relations: dict[str, pd.DataFrame]
     ) -> None:
         self.schema = schema
         self.meter = Meter()

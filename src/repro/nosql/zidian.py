@@ -21,16 +21,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import pandas as pd
-import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql.pandas.types import from_arrow_schema
 
 from ..core import plan as planmod
 from ..core.plangen import NotAnswerable, generate_plan, plan_is_bounded
 from ..core.query import Query
 from ..core.schema import BaaVSchema, Catalog
-from .kvstore import BaaVStore, TaaVStore
+from .kvstore import BaaVStore, TaaVStore, to_spark
 from .sqllayer import evaluate_baseline
 
 
@@ -72,12 +69,6 @@ class Zidian:
     def degrees(self) -> dict:
         return {kv: inst.degree for kv, inst in self.store.instances.items()}
 
-    def _to_spark(self, pdf: pd.DataFrame) -> DataFrame:
-        """Ship an answer into Spark. The schema is explicit because
-        Spark infers none from an empty frame; NaN arrives as NULL."""
-        schema = from_arrow_schema(pa.Schema.from_pandas(pdf, preserve_index=False))
-        return self.spark.createDataFrame(pdf, schema=schema)
-
     # -- M3 ----------------------------------------------------------
     def answer(self, q: Query) -> ZidianResult:
         """Answer ``q`` over the BaaV store; metered and timed."""
@@ -93,7 +84,7 @@ class Zidian:
         bounded = plan_is_bounded(p, self.degrees(), self.bound_c)
         self.store.meter.reset()
         t0 = time.perf_counter()
-        out = self._to_spark(planmod.execute(p, self.store))
+        out = to_spark(self.spark, planmod.execute(p, self.store))
         wall = time.perf_counter() - t0
         return ZidianResult(
             out,

@@ -1,15 +1,15 @@
 """DuckDB correctness oracle.
 
 ``assert_equivalent(got, sql, **tables)`` runs ``sql`` in DuckDB over
-``tables`` and asserts the sorted rows match ``got``, a Spark or a
-pandas result. This catches wrong results from a rewritten plan or a
-custom operator — "it ran" is not "it is correct".
+the pandas ``tables`` and asserts the sorted rows match ``got``, a
+Spark or a pandas result (a Spark one is collected via
+``.toPandas()``). This catches wrong results from a rewritten plan or
+a custom operator — "it ran" is not "it is correct".
 
-``tables`` may be Spark or pandas DataFrames; Spark inputs are
-collected via ``.toPandas()``. Alias every output column identically
-on both sides (Spark names ``count(*)`` as ``count(1)``, DuckDB as
-``count_star()``) and project to scalar columns — array/map/struct
-columns are not orderable so cannot be compared here.
+Alias every output column identically on both sides (Spark names
+``count(*)`` as ``count(1)``, DuckDB as ``count_star()``) and project
+to scalar columns — array/map/struct columns are not orderable so
+cannot be compared here.
 """
 import duckdb
 import pandas as pd
@@ -25,19 +25,18 @@ def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
     return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
 
 
-def _pandas(df: DataFrame | pd.DataFrame) -> pd.DataFrame:
-    return df.toPandas() if isinstance(df, DataFrame) else df
-
-
-def assert_equivalent(got: DataFrame | pd.DataFrame, sql: str, **tables) -> None:
+def assert_equivalent(
+    got: DataFrame | pd.DataFrame, sql: str, **tables: pd.DataFrame
+) -> None:
     con = duckdb.connect()
     try:
         for name, t in tables.items():
-            con.register(name, _pandas(t))
+            con.register(name, t)
         expected = con.execute(sql).fetchdf()
     finally:
         con.close()
-    got = _pandas(got)
+    if isinstance(got, DataFrame):
+        got = got.toPandas()
     assert set(expected.columns) == set(got.columns), (
         f"column mismatch: {sorted(got.columns)} vs {sorted(expected.columns)} "
         "— alias every output column identically on both sides"

@@ -3,8 +3,9 @@ through both systems (baseline SQL-over-NoSQL and Zidian).
 
 This is the shared harness behind the tests, the experiment drivers
 (``repro.experiments``) and perfbench. ``RunContext`` owns the pandas
-ground truth (for the DuckDB oracle), the Spark relations, the metered
-TaaV store (baseline) and the driver-side BaaV store (Zidian).
+ground truth (for the DuckDB oracle) and the two stores built from it:
+the metered TaaV store, whose relations are persisted in Spark
+(baseline), and the driver-side BaaV store (Zidian).
 """
 from __future__ import annotations
 
@@ -24,36 +25,34 @@ from .workloads.common import Template, Workload
 class RunContext:
     workload: Workload
     pdfs: dict[str, pd.DataFrame]
-    sdfs: dict[str, DataFrame]
     taav: TaaVStore
     store: BaaVStore
     zidian: Zidian
 
     def close(self) -> None:
-        for df in self.sdfs.values():
-            df.unpersist()
+        self.taav.close()
 
 
 def build_context(
     spark: SparkSession, workload: Workload, *, sf: float = 0.01, seed: int = 0
 ) -> RunContext:
     """Materialize one workload at a scale factor: pandas ground truth,
-    Spark relations, metered TaaV + BaaV stores, Zidian middleware."""
+    metered TaaV + BaaV stores built from it, Zidian middleware."""
     pdfs = workload.pdfs(sf=sf, seed=seed)
-    sdfs = {name: spark.createDataFrame(pdf).persist() for name, pdf in pdfs.items()}
-    taav = TaaVStore(sdfs)
-    store = BaaVStore(workload.baav, sdfs)
+    taav = TaaVStore(spark, pdfs)
+    store = BaaVStore(workload.baav, pdfs)
     zidian = Zidian(
         spark, workload.catalog, workload.baav, store, taav_fallback=taav
     )
-    return RunContext(workload, pdfs, sdfs, taav, store, zidian)
+    return RunContext(workload, pdfs, taav, store, zidian)
 
 
 def warm(ctx: RunContext) -> None:
-    """Precompute the TaaV row counts outside timed regions (the BaaV
-    block indexes are built with the store)."""
-    for name in ctx.taav.relation_names():
-        ctx.taav.n_rows(name)
+    """Materialize the persisted TaaV relations outside timed regions:
+    one ``count()`` job per relation (the BaaV block indexes are built
+    with the store)."""
+    for df in ctx.taav.dfs.values():
+        df.count()
 
 
 def run_baseline(ctx: RunContext, q: Query) -> BaselineResult:

@@ -16,8 +16,8 @@ Three dataset families (DESIGN.md §2):
   zipfian carrier/airport skew over a deeper join topology.
 
 Every table has a ``*_pdf`` pandas generator; ``runner.build_context``
-turns them into Spark relations, and the DuckDB oracle reads them as they
-are.
+builds both stores from these frames, and the DuckDB oracle reads them as
+they are.
 """
 import numpy as np
 import pandas as pd

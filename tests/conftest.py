@@ -1,9 +1,10 @@
 """Shared test fixtures: one materialized store per workload per session.
 
 The ``spark`` fixture comes from the repo-root conftest. Contexts are
-session-scoped because building one persists every relation in Spark
-and collects every KV instance into the driver-side keyed-block store —
-rebuilding per test would dominate the suite's runtime.
+session-scoped because building one generates every relation, ships
+each into Spark for the TaaV store and builds every KV instance of the
+driver-side keyed-block store from the pandas frames — rebuilding per
+test would dominate the suite's runtime.
 """
 import numpy as np
 import pytest

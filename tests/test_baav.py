@@ -7,53 +7,50 @@ from repro.core.schema import KVSchema
 from repro.nosql.kvstore import KVInstance, Meter
 
 KV = KVSchema("r", ("k",), ("v", "w"))
+REL = pd.DataFrame(
+    {
+        "k": [1, 1, 1, 2, 2, 3],
+        "v": [10, 11, 12, 20, 21, 30],
+        "w": ["a", "a", "b", "c", "c", "d"],
+        "extra": [0, 0, 0, 0, 0, 0],
+    }
+)
 
 
 @pytest.fixture(scope="module")
 def inst(spark):
-    pdf = pd.DataFrame(
-        {
-            "k": [1, 1, 1, 2, 2, 3],
-            "v": [10, 11, 12, 20, 21, 30],
-            "w": ["a", "a", "b", "c", "c", "d"],
-            "extra": [0, 0, 0, 0, 0, 0],
-        }
-    )
-    return spark.createDataFrame(pdf)
+    return spark.createDataFrame(REL)
 
 
-def _mapped(df) -> KVInstance:
-    """The KV instance of ``df`` under ``KV`` (the mapping of §4.1)."""
-    return KVInstance(KV, df, Meter())
+def _mapped(pdf: pd.DataFrame) -> KVInstance:
+    """The KV instance of ``pdf`` under ``KV`` (the mapping of §4.1)."""
+    return KVInstance(KV, pdf, Meter())
 
 
-def test_map_relation_projects_key_first(inst):
-    out = _mapped(inst)
-    assert out.df.columns == ["k", "v", "w"]
+def test_map_relation_projects_key_first():
+    out = _mapped(REL)
     assert list(out.rel.columns) == ["k", "v", "w"]
     assert out.n_rows == 6  # bag semantics: no dedup
 
 
-def test_map_relation_keeps_duplicates(spark):
-    pdf = pd.DataFrame({"k": [1, 1], "v": [5, 5], "w": ["x", "x"], })
-    out = _mapped(spark.createDataFrame(pdf))
+def test_map_relation_keeps_duplicates():
+    out = _mapped(pd.DataFrame({"k": [1, 1], "v": [5, 5], "w": ["x", "x"]}))
     assert out.n_rows == 2 and out.block_sizes == {(1,): 2}
 
 
-def test_degree(inst):
+def test_degree():
     """deg(~D) is the largest block size."""
-    assert _mapped(inst).degree == 3
+    assert _mapped(REL).degree == 3
 
 
-def test_degree_empty(spark):
-    df = spark.createDataFrame(pd.DataFrame({"k": [1], "v": [1], "w": ["x"]})).limit(0)
-    out = _mapped(df)
+def test_degree_empty():
+    out = _mapped(pd.DataFrame({"k": [1], "v": [1], "w": ["x"]}).iloc[:0])
     assert out.block_sizes == {}
     assert (out.degree, out.n_keys, out.n_rows) == (0, 0, 0)
 
 
-def test_block_sizes(inst):
-    assert _mapped(inst).block_sizes == {(1,): 3, (2,): 2, (3,): 1}
+def test_block_sizes():
+    assert _mapped(REL).block_sizes == {(1,): 3, (2,): 2, (3,): 1}
 
 
 def test_blocks_materialization(inst):
@@ -113,7 +110,7 @@ def test_apply_updates_insert(spark):
     df = spark.createDataFrame(pd.DataFrame({"k": [1], "v": [10], "w": ["a"]}))
     ins = spark.createDataFrame(pd.DataFrame({"k": [1, 2], "v": [11, 20], "w": ["b", "c"]}))
     out = baav.apply_updates(df, KV, inserts=ins)
-    assert _mapped(out).block_sizes == {(1,): 2, (2,): 1}
+    assert _mapped(out.toPandas()).block_sizes == {(1,): 2, (2,): 1}
 
 
 def test_apply_updates_delete_one_occurrence(spark):

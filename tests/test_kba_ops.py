@@ -69,8 +69,8 @@ PDFS = {
 
 
 @pytest.fixture(scope="module")
-def store(spark):
-    return BaaVStore(SCHEMA, {n: spark.createDataFrame(p) for n, p in PDFS.items()})
+def store():
+    return BaaVStore(SCHEMA, PDFS)
 
 
 def _run(store, q):

@@ -1,8 +1,20 @@
-"""Tests for the metered KV substrate (nosql.kvstore; DESIGN.md §5)."""
-import pandas as pd
-import pytest
-from pyspark.sql import types as T
+"""Tests for the metered KV substrate (nosql.kvstore; DESIGN.md §5).
 
+The stores are built from pandas frames, so only the tests of the Spark
+boundary (``fetch``/``put`` with Spark frames, the TaaV store) start a
+JVM.
+"""
+import datetime as dt
+import os
+import pathlib
+import subprocess
+import sys
+
+import pandas as pd
+import pyarrow as pa
+import pytest
+
+import repro
 from repro.core.schema import BaaVSchema, KVSchema
 from repro.nosql.kvstore import (
     BaaVStore,
@@ -16,27 +28,35 @@ from repro.nosql.kvstore import (
 KV = KVSchema("r", ("k",), ("v", "w"))
 
 
-@pytest.fixture(scope="module")
-def rel(spark):
-    pdf = pd.DataFrame(
-        {
-            "k": [1, 1, 1, 2, 2, 3],
-            "v": [10.0, 11.0, 12.0, 20.0, 21.0, 30.0],
-            "w": ["a", "a", "b", "c", "c", "d"],
-        }
-    )
-    return spark.createDataFrame(pdf).persist()
+REL = pd.DataFrame(
+    {
+        "k": [1, 1, 1, 2, 2, 3],
+        "v": [10.0, 11.0, 12.0, 20.0, 21.0, 30.0],
+        "w": ["a", "a", "b", "c", "c", "d"],
+    }
+)
+# The null key is one block like any other.
+NULL_KEYS = pd.DataFrame(
+    {"k": pd.array([1, None, None], dtype="Int64"), "v": [10.0, 11.0, 12.0], "w": ["a", "b", "c"]}
+)
 
 
 def test_col_width_by_type():
-    assert col_width(T.StringType()) == 16.0
-    assert col_width(T.DoubleType()) == 8.0
-    assert col_width(T.DateType()) == 8.0
+    assert col_width(pa.string()) == 16.0
+    assert col_width(pa.int64()) == 8.0
+    assert col_width(pa.float64()) == 8.0
+    assert col_width(pa.date32()) == 8.0
+    assert col_width(pa.timestamp("ns")) == 8.0
 
 
-def test_row_width(rel):
-    assert row_width(rel) == 8 + 8 + 16
-    assert row_width(rel, ["k"]) == 8
+def test_row_width():
+    assert row_width(REL) == 8 + 8 + 16
+    assert row_width(REL, ["k"]) == 8
+    # A date column is stored as ``object`` like a string column, but
+    # only the string is charged 16 bytes.
+    ev = pd.DataFrame({"d": [dt.date(2020, 1, 1), None], "s": ["x", "y"]})
+    assert row_width(ev, ["d"]) == 8
+    assert row_width(ev) == 8 + 16
 
 
 def test_meter_reset_and_snapshot():
@@ -47,41 +67,63 @@ def test_meter_reset_and_snapshot():
     assert m.gets == 0 and m.comm_bytes == 0.0
 
 
-def test_instance_stats(spark, rel):
-    inst = KVInstance(KV, rel, Meter())
+def test_instance_stats():
+    inst = KVInstance(KV, REL, Meter())
     assert inst.block_sizes == {(1,): 3, (2,): 2, (3,): 1}
     assert inst.n_rows == 6
     assert inst.n_keys == 3
     assert inst.degree == 3
     assert inst.size_bytes == 6 * 32
-    # The null key is one block like any other.
-    inst = KVInstance(KV, _with_null_keys(spark), Meter())
+    inst = KVInstance(KV, NULL_KEYS, Meter())
     assert inst.block_sizes == {(1,): 1, (None,): 2}
     assert (inst.n_rows, inst.n_keys, inst.degree) == (3, 2, 2)
 
 
-def _with_null_keys(spark):
-    return spark.createDataFrame(
-        [(1, 10.0, "a"), (None, 11.0, "b"), (None, 12.0, "c")],
-        "k long, v double, w string",
+def test_instance_copies_its_relation():
+    """The store sorts a copy: the caller's frame (the oracle's ground
+    truth) is never aliased or reordered."""
+    pdf = REL.iloc[::-1].reset_index(drop=True)
+    before = pdf.copy()
+    inst = KVInstance(KV, pdf, Meter())
+    assert inst.rel["k"].tolist() == [1, 1, 1, 2, 2, 3]
+    inst.rel.loc[0, "v"] = -1.0
+    pd.testing.assert_frame_equal(pdf, before)
+
+
+def test_baav_store_builds_without_spark():
+    """Building the BaaV store needs no SparkSession: in a fresh
+    interpreter every MOT instance is built and no JVM starts."""
+    code = (
+        "from pyspark import SparkContext\n"
+        "from repro.nosql.kvstore import BaaVStore\n"
+        "from repro.workloads import mot\n"
+        "store = BaaVStore(mot.WORKLOAD.baav, mot.WORKLOAD.pdfs(sf=0.001))\n"
+        "assert len(store.instances) == len(mot.WORKLOAD.baav) > 0\n"
+        "assert SparkContext._gateway is None\n"
     )
+    src = str(pathlib.Path(repro.__file__).parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
 
 
-def _keys(spark, rows: list[tuple], schema: str = "k long"):
-    """The same keys as a Spark frame (the form perfbench passes) and as
-    a pandas frame (the form the plan executor passes)."""
-    sdf = spark.createDataFrame(rows, schema)
-    return sdf, sdf.toPandas()
+def _keys(rows: list[tuple], schema: str = "k long", spark=None) -> list:
+    """The keys as a pandas frame (the form the plan executor passes)
+    and, given a session, as a Spark frame too (the form perfbench
+    passes)."""
+    forms = [pd.DataFrame(rows, columns=[c.split()[0] for c in schema.split(",")])]
+    if spark is not None:
+        forms.append(spark.createDataFrame(rows, schema))
+    return forms
 
 
 def _n_rows(out) -> int:
     return len(out) if isinstance(out, pd.DataFrame) else out.count()
 
 
-def test_fetch_meters_one_get_per_distinct_key(spark, rel):
-    for keys in _keys(spark, [(1,), (1,), (2,)]):
+def test_fetch_meters_one_get_per_distinct_key(spark):
+    for keys in _keys([(1,), (1,), (2,)], spark=spark):
         m = Meter()
-        inst = KVInstance(KV, rel, m)
+        inst = KVInstance(KV, REL, m)
         out = inst.fetch(keys)
         assert type(out) is type(keys)
         assert _n_rows(out) == 5  # blocks of keys 1 and 2
@@ -93,11 +135,11 @@ def test_fetch_meters_one_get_per_distinct_key(spark, rel):
         assert m.comm_bytes == 2 * 8 + 5 * 32
 
 
-def test_fetch_returns_whole_blocks(spark, rel):
+def test_fetch_returns_whole_blocks(spark):
     """A multi-get returns every tuple of each block asked for, in any
     key order, with the instance's columns."""
-    inst = KVInstance(KV, rel, Meter())
-    sdf, pdf = _keys(spark, [(3,), (1,)])
+    inst = KVInstance(KV, REL, Meter())
+    pdf, sdf = _keys([(3,), (1,)], spark=spark)
     out = inst.fetch(pdf)
     assert list(out.columns) == ["k", "v", "w"]
     assert sorted(out.itertuples(index=False, name=None)) == [
@@ -110,60 +152,60 @@ def test_fetch_returns_whole_blocks(spark, rel):
     )
 
 
-def test_fetch_missing_key_costs_a_get(spark, rel):
-    for keys in _keys(spark, [(99,)]):
+def test_fetch_missing_key_costs_a_get(spark):
+    for keys in _keys([(99,)], spark=spark):
         m = Meter()
-        out = KVInstance(KV, rel, m).fetch(keys)
+        out = KVInstance(KV, REL, m).fetch(keys)
         assert _n_rows(out) == 0
         assert m.gets == 1 and m.data_values == 0
     # No key: no get, nothing back.
-    for keys in _keys(spark, []):
+    for keys in _keys([], spark=spark):
         m = Meter()
-        out = KVInstance(KV, rel, m).fetch(keys)
+        out = KVInstance(KV, REL, m).fetch(keys)
         assert _n_rows(out) == 0
         assert m.gets == 0 and m.data_values == 0 and m.comm_bytes == 0
     # A null key costs a get but matches no block, not even a null one.
-    for keys in _keys(spark, [(None,), (None,)]):
-        for target in (rel, _with_null_keys(spark)):
+    for keys in _keys([(None,), (None,)], spark=spark):
+        for target in (REL, NULL_KEYS):
             m = Meter()
             out = KVInstance(KV, target, m).fetch(keys)
             assert _n_rows(out) == 0
             assert m.gets == 1 and m.data_values == 0
     # Beside a present key, a null key still costs its get.
-    for keys in _keys(spark, [(None,), (2,)]):
+    for keys in _keys([(None,), (2,)], spark=spark):
         m = Meter()
-        out = KVInstance(KV, _with_null_keys(spark), m).fetch(keys)
+        out = KVInstance(KV, NULL_KEYS, m).fetch(keys)
         assert _n_rows(out) == 0
         assert m.gets == 2 and m.data_values == 0
-    for keys in _keys(spark, [(None,), (1,)]):
+    for keys in _keys([(None,), (1,)], spark=spark):
         m = Meter()
-        out = KVInstance(KV, _with_null_keys(spark), m).fetch(keys)
+        out = KVInstance(KV, NULL_KEYS, m).fetch(keys)
         assert _n_rows(out) == 1
         assert m.gets == 2 and m.data_values == 3
 
 
-def test_fetch_multi_column_key(spark, rel):
+def test_fetch_multi_column_key():
     """A composite key is looked up as a whole: (k, w) = (1, 'a') is
     one block of two tuples."""
     kv = KVSchema("r", ("k", "w"), ("v",))
-    for keys in _keys(spark, [(1, "a"), (1, "z"), (None, "a")], "k long, w string"):
-        m = Meter()
-        out = KVInstance(kv, rel, m).fetch(keys)
-        assert _n_rows(out) == 2
-        assert m.gets == 3 and m.data_values == 2 * 3
+    (keys,) = _keys([(1, "a"), (1, "z"), (None, "a")], "k long, w string")
+    m = Meter()
+    out = KVInstance(kv, REL, m).fetch(keys)
+    assert _n_rows(out) == 2
+    assert m.gets == 3 and m.data_values == 2 * 3
 
 
-def test_fetch_rejects_wrong_key_columns(spark, rel):
-    inst = KVInstance(KV, rel, Meter())
-    for keys in _keys(spark, [(10.0,)], "v double"):
+def test_fetch_rejects_wrong_key_columns(spark):
+    inst = KVInstance(KV, REL, Meter())
+    for keys in _keys([(10.0,)], "v double", spark=spark):
         with pytest.raises(ValueError):
             inst.fetch(keys)
 
 
-def test_scan_meters_one_get_per_block(rel):
+def test_scan_meters_one_get_per_block():
     """Under BaaV a scan costs one get per *block* (data locality)."""
     m = Meter()
-    inst = KVInstance(KV, rel, m)
+    inst = KVInstance(KV, REL, m)
     out = inst.scan()
     assert len(out) == 6
     assert m.scans == 1
@@ -171,11 +213,11 @@ def test_scan_meters_one_get_per_block(rel):
     assert m.data_values == 6 * 3
 
 
-def test_put_meters_block_rewrite(spark, rel):
+def test_put_meters_block_rewrite(spark):
     one = pd.DataFrame({"k": [1], "v": [99.0], "w": ["z"]})
     for rows in (spark.createDataFrame(one), one):
         m = Meter()
-        inst = KVInstance(KV, rel, m)
+        inst = KVInstance(KV, REL, m)
         inst.put(rows)
         assert m.puts == 1
         # a BaaV put rewrites the existing block (3 tuples) + the new one
@@ -186,42 +228,45 @@ def test_put_meters_block_rewrite(spark, rel):
     three = pd.DataFrame({"k": [2, 2, 7], "v": [1.0, 2.0, 3.0], "w": ["x", "y", "z"]})
     for rows in (spark.createDataFrame(three), three):
         m = Meter()
-        KVInstance(KV, rel, m).put(rows)
+        KVInstance(KV, REL, m).put(rows)
         assert m.puts == 3
         assert m.data_values == (2 + 3) * 3
         assert m.comm_bytes == (2 + 3) * 32
     # A tuple with a null key is a new block: nothing is rewritten.
     null = pd.DataFrame({"k": [None], "v": [1.0], "w": ["x"]})
     m = Meter()
-    KVInstance(KV, _with_null_keys(spark), m).put(null)
+    KVInstance(KV, NULL_KEYS, m).put(null)
     assert m.puts == 1 and m.data_values == 1 * 3
     # An empty batch writes nothing.
     m = Meter()
-    KVInstance(KV, rel, m).put(one.iloc[:0])
+    KVInstance(KV, REL, m).put(one.iloc[:0])
     assert m.snapshot() == Meter().snapshot()
 
 
-def test_taav_scan_costs_one_get_per_tuple(rel):
+def test_taav_scan_costs_one_get_per_tuple(spark):
     """Under TaaV a scan costs |R| gets (paper §3) — the baseline's
     fundamental handicap."""
-    store = TaaVStore({"r": rel})
+    store = TaaVStore(spark, {"r": REL})
     out = store.scan("r")
     assert out.count() == 6
     assert store.meter.gets == 6
     assert store.meter.scans == 1
     assert store.meter.data_values == 18
+    assert store.meter.comm_bytes == 6 * (8 + 8 + 16)
+    store.close()
+    assert not out.is_cached
 
 
-def test_baav_store_builds_all_instances(rel):
+def test_baav_store_builds_all_instances():
     schema = BaaVSchema.of(KV, KVSchema("r", ("w",), ("k", "v")))
-    store = BaaVStore(schema, {"r": rel})
+    store = BaaVStore(schema, {"r": REL})
     assert len(store.instances) == 2
     assert store.degree == 3  # max over instances
 
 
-def test_baav_store_shared_meter(spark, rel):
+def test_baav_store_shared_meter():
     schema = BaaVSchema.of(KV)
-    store = BaaVStore(schema, {"r": rel})
+    store = BaaVStore(schema, {"r": REL})
     store[KV].fetch(pd.DataFrame({"k": [1]}))
     store[KV].scan()
     assert store.meter.gets == 1 + 3
@@ -232,11 +277,12 @@ def test_baav_store_missing_relation():
         BaaVStore(BaaVSchema.of(KV), {})
 
 
-def test_baav_scan_vs_taav_scan_get_ratio(rel):
+def test_baav_scan_vs_taav_scan_get_ratio(spark):
     """The BaaV get saving on scans = average block size."""
-    taav = TaaVStore({"r": rel})
+    taav = TaaVStore(spark, {"r": REL})
     taav.scan("r")
     m = Meter()
-    inst = KVInstance(KV, rel, m)
+    inst = KVInstance(KV, REL, m)
     inst.scan()
     assert taav.meter.gets / m.gets == 2.0  # 6 tuples / 3 blocks
+    taav.close()

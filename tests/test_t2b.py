@@ -115,7 +115,7 @@ def test_t2b_store_backed_sizer(mot_ctx):
     from repro.nosql.kvstore import KVInstance, Meter
 
     def sizer(kv):
-        return KVInstance(kv, mot_ctx.sdfs[kv.relation], Meter()).size_bytes
+        return KVInstance(kv, mot_ctx.pdfs[kv.relation], Meter()).size_bytes
 
     sigma = [QCS("vehicle", ("vehicle_id", "make"), ("vehicle_id",))]
     res = run_t2b(mot_ctx.workload.catalog, sigma, sizer, budget=1e12)

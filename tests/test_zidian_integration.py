@@ -116,7 +116,7 @@ def test_fallback_to_sql_layer_when_not_answerable(contexts):
     schema = BaaVSchema.of(KVSchema("vehicle", ("vehicle_id",), ("make",)))
     from repro.nosql.kvstore import BaaVStore
 
-    store = BaaVStore(schema, {"vehicle": ctx.sdfs["vehicle"]})
+    store = BaaVStore(schema, {"vehicle": ctx.pdfs["vehicle"]})
     z = Zidian(
         ctx.zidian.spark, ctx.workload.catalog, schema, store,
         taav_fallback=ctx.taav,
