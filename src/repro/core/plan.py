@@ -232,6 +232,8 @@ def _finalize(plan: KBAPlan, df: pd.DataFrame) -> pd.DataFrame:
             out[g.alias] = out["__size"]
         else:
             agg = _aggregate(grouped[f"__agg_{i}"], g)
+            if not keys and agg is pd.NA:  # NULL of a nullable column: NaN, as DuckDB gives
+                agg = float("nan")
             out[g.alias] = agg.to_numpy() if keys else [agg]
     out = out.drop(columns="__size")
     for alias, op, v in q.having:

@@ -23,8 +23,8 @@ what Theorems 3 and 5 reason over.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from dataclasses import dataclass, replace
+from typing import Iterable
 
 from .schema import Attr, Catalog
 
@@ -129,12 +129,6 @@ class SPCQuery:
     @property
     def aliases(self) -> tuple[str, ...]:
         return tuple(a.alias for a in self.atoms)
-
-    def atom(self, alias: str) -> Atom:
-        for a in self.atoms:
-            if a.alias == alias:
-                return a
-        raise KeyError(alias)
 
     def validate(self, catalog: Catalog) -> None:
         """Check aliases are unique and every attribute exists."""
@@ -334,7 +328,3 @@ class EqClasses:
     def members(self, a: Attr, universe: Iterable[Attr]) -> frozenset[Attr]:
         r = self.find(a)
         return frozenset(x for x in universe if self.find(x) == r)
-
-    def class_map(self, universe: Iterable[Attr]) -> Mapping[Attr, Attr]:
-        """attr -> class representative, over a given attribute universe."""
-        return {x: self.find(x) for x in universe}

@@ -22,6 +22,7 @@ type: 16 bytes for strings, 8 bytes for every other type.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import pandas as pd
@@ -34,11 +35,15 @@ _STRING_BYTES = 16.0
 _SCALAR_BYTES = 8.0
 
 
-def to_spark(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
-    """Ship a pandas frame into Spark by Arrow. The types come from the
-    frame's Arrow schema, so an empty frame keeps its numeric types and
-    NaN arrives as NULL."""
-    return spark.createDataFrame(pa.Table.from_pandas(pdf, preserve_index=False))
+def to_spark(
+    spark: SparkSession, pdf: pd.DataFrame, schema: pa.Schema | None = None
+) -> DataFrame:
+    """Ship a pandas frame into Spark by Arrow, with the Arrow ``schema``
+    given or else the frame's own, so NaN arrives as NULL. An empty
+    frame's own schema types a string column as ``null``."""
+    return spark.createDataFrame(
+        pa.Table.from_pandas(pdf, schema=schema, preserve_index=False)
+    )
 
 
 def col_width(dtype: pa.DataType) -> float:
@@ -46,11 +51,14 @@ def col_width(dtype: pa.DataType) -> float:
     return _STRING_BYTES if pa.types.is_string(dtype) else _SCALAR_BYTES
 
 
-def row_width(pdf: pd.DataFrame, cols: list[str] | None = None) -> float:
+def row_width(
+    pdf: pd.DataFrame | pa.Schema, cols: Sequence[str] | None = None
+) -> float:
     """Estimated serialized width of one tuple of ``pdf`` (or of its
     columns ``cols``), from the columns' Arrow types."""
-    schema = pa.Schema.from_pandas(pdf if cols is None else pdf[cols], preserve_index=False)
-    return float(sum(col_width(f.type) for f in schema))
+    if isinstance(pdf, pd.DataFrame):
+        pdf = pa.Schema.from_pandas(pdf, preserve_index=False)
+    return float(sum(col_width(pdf.field(c).type) for c in cols or pdf.names))
 
 
 @dataclass
@@ -87,8 +95,9 @@ class KVInstance:
     pandas relation in the driver process, one frame with every block
     contiguous, and a block index key → ``[start, end)`` built once
     here. ``get(k)`` is one slice of the frame: the block B_k as one
-    value (§3, §4.1).
-    Every size stat and meter charge is read from the index. ``fetch``
+    value (§3, §4.1). Its Arrow schema, read once here, gives the value
+    widths and the column types of every frame the instance ships into
+    Spark. Every size stat and meter charge is read from the index. ``fetch``
     is the multi-get primitive: one ``get`` per distinct key, returning
     whole blocks. ``scan`` iterates all keys (one ``get`` per block,
     after a ``next()`` walk).
@@ -101,8 +110,9 @@ class KVInstance:
         groups = rel.groupby(list(kv.key), sort=True, dropna=False)
         order = np.argsort(groups.ngroup().to_numpy(), kind="stable")
         self.rel = rel.take(order).reset_index(drop=True)
-        self._row_w = row_width(self.rel)
-        self._key_w = row_width(self.rel, list(kv.key))
+        self._arrow = pa.Schema.from_pandas(self.rel, preserve_index=False)
+        self._row_w = row_width(self._arrow)
+        self._key_w = row_width(self._arrow, kv.key)
         sizes = groups.size()
         self._keys = sizes.index  # one entry per block, in frame order
         self._sizes = sizes.to_numpy()
@@ -113,7 +123,7 @@ class KVInstance:
     def df(self) -> DataFrame:
         """The relational version shipped into Spark on the active
         session. Its one reader is perfbench's traced ``visible_frac``."""
-        return to_spark(SparkSession.active(), self.rel)
+        return to_spark(SparkSession.active(), self.rel, self._arrow)
 
     # -- size stats (not metered: schema-design-time information) ----
     @property
@@ -158,13 +168,14 @@ class KVInstance:
         ``get`` is charged per distinct key; ``comm`` is charged for the
         keys shipped down plus the block bytes shipped back (§7.2
         interleaving). A Spark ``keys`` frame is collected once and the
-        blocks are shipped back into its session.
+        blocks are shipped back into its session with the instance's
+        column types, even when no block matches.
         """
         if set(keys.columns) != set(self.kv.key):
             raise ValueError(f"fetch keys {list(keys.columns)} != schema key {self.kv.key}")
         if isinstance(keys, DataFrame):
             out = self._fetch(keys.select(*self.kv.key).toPandas())
-            return to_spark(keys.sparkSession, out)
+            return to_spark(keys.sparkSession, out, self._arrow)
         return self._fetch(keys)
 
     def _fetch(self, keys: pd.DataFrame) -> pd.DataFrame:
@@ -265,8 +276,3 @@ class BaaVStore:
     def degree(self) -> int:
         """deg(~D) = max degree over KV instances (§4.1)."""
         return max((inst.degree for inst in self.instances.values()), default=0)
-
-    @property
-    def size_bytes(self) -> float:
-        return sum(i.size_bytes for i in self.instances.values())
-

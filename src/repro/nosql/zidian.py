@@ -26,9 +26,13 @@ from pyspark.sql import DataFrame, SparkSession
 from ..core import plan as planmod
 from ..core.plangen import NotAnswerable, generate_plan, plan_is_bounded
 from ..core.query import Query
-from ..core.schema import BaaVSchema, Catalog
+from ..core.schema import Catalog
 from .kvstore import BaaVStore, TaaVStore, to_spark
 from .sqllayer import evaluate_baseline
+
+# The degree bound c of a bounded plan (§6.2): every fetched instance
+# has blocks of at most c tuples.
+BOUND_C = 50
 
 
 @dataclass
@@ -43,28 +47,21 @@ class ZidianResult:
 
 
 class Zidian:
-    """Middleware instance bound to one catalog, BaaV schema and store."""
+    """Middleware instance bound to one catalog and BaaV store, falling
+    back to the SQL layer over the TaaV store ``taav``."""
 
     def __init__(
-        self,
-        spark: SparkSession,
-        catalog: Catalog,
-        schema: BaaVSchema,
-        store: BaaVStore,
-        taav_fallback: TaaVStore | None = None,
-        bound_c: int = 50,
+        self, spark: SparkSession, catalog: Catalog, store: BaaVStore, taav: TaaVStore
     ) -> None:
-        schema.validate_against(catalog)
+        store.schema.validate_against(catalog)
         self.spark = spark
         self.catalog = catalog
-        self.schema = schema
         self.store = store
-        self.taav_fallback = taav_fallback
-        self.bound_c = bound_c
+        self.taav = taav
 
     # -- M1 + M2 -----------------------------------------------------
     def plan(self, q: Query) -> planmod.KBAPlan:
-        return generate_plan(q, self.catalog, self.schema)
+        return generate_plan(q, self.catalog, self.store.schema)
 
     def degrees(self) -> dict:
         return {kv: inst.degree for kv, inst in self.store.instances.items()}
@@ -75,13 +72,11 @@ class Zidian:
         try:
             p = self.plan(q)
         except NotAnswerable:
-            if self.taav_fallback is None:
-                raise
-            base = evaluate_baseline(self.spark, q, self.taav_fallback)
+            base = evaluate_baseline(self.spark, q, self.taav)
             return ZidianResult(
                 base.df, base.wall_s, base.meter, False, False, True, None
             )
-        bounded = plan_is_bounded(p, self.degrees(), self.bound_c)
+        bounded = plan_is_bounded(p, self.degrees(), BOUND_C)
         self.store.meter.reset()
         t0 = time.perf_counter()
         out = to_spark(self.spark, planmod.execute(p, self.store))

@@ -18,7 +18,7 @@ from .core.query import Query
 from .nosql.kvstore import BaaVStore, TaaVStore
 from .nosql.sqllayer import BaselineResult, evaluate_baseline
 from .nosql.zidian import Zidian, ZidianResult
-from .workloads.common import Template, Workload
+from .workloads.common import Workload
 
 
 @dataclass
@@ -41,9 +41,7 @@ def build_context(
     pdfs = workload.pdfs(sf=sf, seed=seed)
     taav = TaaVStore(spark, pdfs)
     store = BaaVStore(workload.baav, pdfs)
-    zidian = Zidian(
-        spark, workload.catalog, workload.baav, store, taav_fallback=taav
-    )
+    zidian = Zidian(spark, workload.catalog, store, taav)
     return RunContext(workload, pdfs, taav, store, zidian)
 
 
@@ -71,9 +69,3 @@ def oracle_check(ctx: RunContext, q: Query, df: DataFrame) -> None:
     tables = {a.relation: ctx.pdfs[a.relation] for a in q.atoms}
     assert_equivalent(df, q.to_sql(), **tables)
 
-
-def run_template_both(
-    ctx: RunContext, t: Template, param: object | None = None
-) -> tuple[BaselineResult, ZidianResult, Query]:
-    q = t.instantiate(param)
-    return run_baseline(ctx, q), run_zidian(ctx, q), q

@@ -8,10 +8,9 @@ through both the baseline SQL layer and Zidian.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
 import pandas as pd
 
 from ..core.query import Query
@@ -32,11 +31,6 @@ class Template:
     def instantiate(self, param: object | None = None) -> Query:
         return self.make(self.default_param if param is None else param)
 
-    def sample_params(self, rng: np.random.Generator, k: int = 3) -> list[object]:
-        """k parameter instantiations (paper: 3 per template)."""
-        pool = list(self.param_choices) or [self.default_param]
-        return [pool[int(rng.integers(0, len(pool)))] for _ in range(k)]
-
 
 @dataclass
 class Workload:
@@ -56,6 +50,3 @@ class Workload:
 
     def scan_free_templates(self) -> list[Template]:
         return [t for t in self.templates if t.scan_free]
-
-    def non_scan_free_templates(self) -> list[Template]:
-        return [t for t in self.templates if not t.scan_free]

@@ -1,4 +1,5 @@
-"""Tests for the metered KV substrate (nosql.kvstore; DESIGN.md §5).
+"""Tests for the metered KV substrate (nosql.kvstore; DESIGN.md §5) and
+the mapping of a relation on a KV schema (paper §4.1).
 
 The stores are built from pandas frames, so only the tests of the Spark
 boundary (``fetch``/``put`` with Spark frames, the TaaV store) start a
@@ -24,6 +25,7 @@ from repro.nosql.kvstore import (
     col_width,
     row_width,
 )
+from repro.workloads import mot
 
 KV = KVSchema("r", ("k",), ("v", "w"))
 
@@ -65,6 +67,32 @@ def test_meter_reset_and_snapshot():
     assert snap["gets"] == 5 and snap["comm_bytes"] == 3.0
     m.reset()
     assert m.gets == 0 and m.comm_bytes == 0.0
+
+
+def test_map_relation_projects_key_first():
+    out = KVInstance(KV, REL[["w", "v", "k"]].assign(extra=0), Meter())
+    assert list(out.rel.columns) == ["k", "v", "w"]
+    assert out.n_rows == 6  # bag semantics: no dedup
+
+
+def test_map_relation_keeps_duplicates():
+    out = KVInstance(KV, pd.DataFrame({"k": [1, 1], "v": [5, 5], "w": ["x", "x"]}), Meter())
+    assert out.n_rows == 2 and out.block_sizes == {(1,): 2}
+
+
+def test_degree():
+    """deg(~D) is the largest block size."""
+    assert KVInstance(KV, REL, Meter()).degree == 3
+
+
+def test_degree_empty():
+    out = KVInstance(KV, REL.iloc[:0], Meter())
+    assert out.block_sizes == {}
+    assert (out.degree, out.n_keys, out.n_rows) == (0, 0, 0)
+
+
+def test_block_sizes():
+    assert KVInstance(KV, REL, Meter()).block_sizes == {(1,): 3, (2,): 2, (3,): 1}
 
 
 def test_instance_stats():
@@ -155,15 +183,21 @@ def test_fetch_returns_whole_blocks(spark):
 def test_fetch_missing_key_costs_a_get(spark):
     for keys in _keys([(99,)], spark=spark):
         m = Meter()
-        out = KVInstance(KV, REL, m).fetch(keys)
+        inst = KVInstance(KV, REL, m)
+        out = inst.fetch(keys)
         assert _n_rows(out) == 0
         assert m.gets == 1 and m.data_values == 0
+        if not isinstance(out, pd.DataFrame):  # the instance's types, not void ones
+            assert out.schema == inst.df.schema
     # No key: no get, nothing back.
     for keys in _keys([], spark=spark):
         m = Meter()
-        out = KVInstance(KV, REL, m).fetch(keys)
+        inst = KVInstance(KV, REL, m)
+        out = inst.fetch(keys)
         assert _n_rows(out) == 0
         assert m.gets == 0 and m.data_values == 0 and m.comm_bytes == 0
+        if not isinstance(out, pd.DataFrame):
+            assert out.schema == inst.df.schema
     # A null key costs a get but matches no block, not even a null one.
     for keys in _keys([(None,), (None,)], spark=spark):
         for target in (REL, NULL_KEYS):
@@ -275,6 +309,25 @@ def test_baav_store_shared_meter():
 def test_baav_store_missing_relation():
     with pytest.raises(ValueError):
         BaaVStore(BaaVSchema.of(KV), {})
+
+
+def test_taav_is_special_case_of_baav(spark):
+    """§4.1: TaaV is BaaV keyed on the primary key with the rest of the
+    tuple as the value. Every block is one tuple, so a scan of the
+    instance costs what a TaaV scan of the relation costs."""
+    rel = mot.CATALOG["vehicle"]
+    kv = KVSchema("vehicle", rel.pk, tuple(c for c in rel.columns if c not in rel.pk))
+    pdf = mot.WORKLOAD.pdfs(sf=0.01)["vehicle"]
+    m = Meter()
+    inst = KVInstance(kv, pdf, m)
+    assert inst.degree == 1
+    assert inst.n_keys == inst.n_rows == len(pdf)
+    inst.scan()
+    taav = TaaVStore(spark, {"vehicle": pdf})
+    taav.scan("vehicle")
+    taav.close()
+    for f in ("gets", "scans", "data_values", "comm_bytes"):
+        assert getattr(m, f) == getattr(taav.meter, f), f
 
 
 def test_baav_scan_vs_taav_scan_get_ratio(spark):

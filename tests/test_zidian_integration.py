@@ -117,10 +117,7 @@ def test_fallback_to_sql_layer_when_not_answerable(contexts):
     from repro.nosql.kvstore import BaaVStore
 
     store = BaaVStore(schema, {"vehicle": ctx.pdfs["vehicle"]})
-    z = Zidian(
-        ctx.zidian.spark, ctx.workload.catalog, schema, store,
-        taav_fallback=ctx.taav,
-    )
+    z = Zidian(ctx.zidian.spark, ctx.workload.catalog, store, ctx.taav)
     q = SPCQuery(
         atoms=(Atom("V", "vehicle"),),
         const=((("V", "vehicle_id"), 7),),
