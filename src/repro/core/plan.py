@@ -35,7 +35,6 @@ from .query import (
     Aggregate,
     Atom,
     EqClasses,
-    Filter,
     GroupByQuery,
     Query,
     SPCQuery,
@@ -85,7 +84,6 @@ class KBAPlan:
     minq: SPCQuery
     ec: EqClasses  # classes of minq
     ops: tuple[PlanOp, ...]
-    filters: tuple[Filter, ...]  # minq filters (attrs in minq terms)
     # original -> minq attribute (positionally, via the projection)
     attr_map: dict[Attr, Attr] = field(default_factory=dict)
 
@@ -171,7 +169,7 @@ def execute(plan: KBAPlan, store: BaaVStore) -> pd.DataFrame:
     names, same bag of rows).
     """
     frontier: pd.DataFrame | None = None
-    pending = list(plan.filters)
+    pending = list(plan.minq.filters)
     for op in plan.ops:
         if isinstance(op, SeedOp):
             part = _seed(op)

@@ -113,7 +113,6 @@ def generate_plan(q: Query, catalog: Catalog, schema: BaaVSchema) -> KBAPlan:
         minq=minq,
         ec=ec,
         ops=tuple(ops),
-        filters=minq.filters,
         attr_map=_attr_map(q, minq),
     )
 

@@ -171,11 +171,8 @@ class SPCQuery:
         return EqClasses.build(self.eq, self.const)
 
     # -- SQL ---------------------------------------------------------
-    def to_sql(self) -> str:
-        sel = ", ".join(
-            f"{a[0]}.{a[1]} AS {attr_name(a)}" for a in self.projection
-        )
-        head = "SELECT DISTINCT" if self.distinct else "SELECT"
+    def from_where_sql(self) -> str:
+        """`` FROM … [WHERE …]``, shared with a group-by over this query."""
         frm = ", ".join(f"{a.relation} AS {a.alias}" for a in self.atoms)
         conds = [f"{a[0]}.{a[1]} = {b[0]}.{b[1]}" for a, b in self.eq]
         for a, v in self.const:
@@ -185,10 +182,17 @@ class SPCQuery:
             else:
                 conds.append(f"{a[0]}.{a[1]} = {_sql_literal(v)}")
         conds += [f.to_sql() for f in self.filters]
-        sql = f"{head} {sel} FROM {frm}"
+        sql = f" FROM {frm}"
         if conds:
             sql += " WHERE " + " AND ".join(conds)
         return sql
+
+    def to_sql(self) -> str:
+        sel = ", ".join(
+            f"{a[0]}.{a[1]} AS {attr_name(a)}" for a in self.projection
+        )
+        head = "SELECT DISTINCT" if self.distinct else "SELECT"
+        return f"{head} {sel}{self.from_where_sql()}"
 
 
 @dataclass(frozen=True)
@@ -231,21 +235,16 @@ class GroupByQuery:
                 raise ValueError(f"bad having clause ({alias}, {op})")
 
     def to_sql(self) -> str:
-        base = self.max_spc_subquery()
         sel_parts = [f"{a[0]}.{a[1]} AS {attr_name(a)}" for a in self.group_by]
         sel_parts += [g.to_sql() for g in self.aggs]
-        frm = base.to_sql()
-        # Re-render: take FROM/WHERE from the base, replace the SELECT.
-        where_idx = frm.find(" FROM ")
-        tail = frm[where_idx:]
-        sql = "SELECT " + ", ".join(sel_parts) + tail
+        sql = "SELECT " + ", ".join(sel_parts) + self.base.from_where_sql()
         if self.group_by:
             sql += " GROUP BY " + ", ".join(
                 f"{a[0]}.{a[1]}" for a in self.group_by
             )
         if self.having:
             conds = [
-                f"{g.to_sql().split(' AS ')[0]} {op} {_sql_literal(v)}"
+                f"{g.func}({g.arg_sql()}) {op} {_sql_literal(v)}"
                 for alias, op, v in self.having
                 for g in self.aggs
                 if g.alias == alias
@@ -260,13 +259,6 @@ Query = SPCQuery | GroupByQuery
 def spc_of(q: Query) -> SPCQuery:
     """The (max) SPC sub-query of ``q``."""
     return q.max_spc_subquery() if isinstance(q, GroupByQuery) else q
-
-
-def output_columns(q: Query) -> list[str]:
-    """Output column names, matching ``to_sql`` aliases."""
-    if isinstance(q, GroupByQuery):
-        return [attr_name(a) for a in q.group_by] + [g.alias for g in q.aggs]
-    return [attr_name(a) for a in q.projection]
 
 
 class EqClasses:
@@ -319,12 +311,5 @@ class EqClasses:
             if rb in self._const:
                 self._const.setdefault(ra, self._const.pop(rb))
 
-    def same(self, a: Attr, b: Attr) -> bool:
-        return self.find(a) == self.find(b)
-
     def const_of(self, a: Attr) -> object | None:
         return self._const.get(self.find(a))
-
-    def members(self, a: Attr, universe: Iterable[Attr]) -> frozenset[Attr]:
-        r = self.find(a)
-        return frozenset(x for x in universe if self.find(x) == r)

@@ -102,11 +102,6 @@ class Catalog:
     def __iter__(self) -> Iterator[RelSchema]:
         return iter(self.relations.values())
 
-    @property
-    def n_attrs(self) -> int:
-        """|R| as used in the paper's complexity bounds."""
-        return sum(len(r.columns) for r in self)
-
 
 @dataclass
 class BaaVSchema:

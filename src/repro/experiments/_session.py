@@ -1,5 +1,7 @@
-"""Session, time-column and printing helpers for the experiment drivers."""
+"""Session, measurement and printing helpers for the experiment drivers."""
 from __future__ import annotations
+
+import statistics
 
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -7,18 +9,19 @@ from pyspark.sql import SparkSession
 from ..core.query import Query
 from ..nosql.backends import BACKENDS
 from ..nosql.kvstore import Meter
-from ..nosql.sqllayer import BaselineResult
-from ..nosql.zidian import ZidianResult
 from ..runner import RunContext, run_baseline, run_zidian
 
+REPEATS = 3  # timed runs per query and system, after one untimed warm-up
 
-def get_session(name: str, cores: int | str = "*") -> SparkSession:
-    """Build (or reuse) a ``local[cores]`` session mirroring conftest.py
-    settings. The 4 GB driver heap applies when this call starts the JVM;
-    Spark's 1 GB default runs out of memory in Exp-3 at SF=0.05."""
+STORAGE = [f"{b.name}_storage_s" for b in BACKENDS]
+
+
+def get_session(name: str) -> SparkSession:
+    """Build (or reuse) a ``local[*]`` session mirroring conftest.py
+    settings. The 4 GB driver heap applies when this call starts the JVM."""
     spark = (
         SparkSession.builder.appName(f"repro-{name}")
-        .master(f"local[{cores}]")
+        .master("local[*]")
         .config("spark.driver.memory", "4g")
         .config("spark.sql.shuffle.partitions", "64")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
@@ -31,24 +34,30 @@ def get_session(name: str, cores: int | str = "*") -> SparkSession:
     return spark
 
 
-def timed_pair(ctx: RunContext, q: Query) -> tuple[BaselineResult, ZidianResult]:
-    """One baseline and one Zidian run of ``q``, each after one untimed
-    warm-up run of its own, so that no timed run pays for Spark's code
-    generation."""
-    run_baseline(ctx, q)
-    br = run_baseline(ctx, q)
-    run_zidian(ctx, q)
-    return br, run_zidian(ctx, q)
-
-
-def time_columns(res: BaselineResult | ZidianResult, p: int) -> dict[str, float]:
-    """Measured wall time and, per backend, the modelled storage time of
-    one metered run at storage parallelism ``p`` (DESIGN.md §5). The two
-    are separate columns and are never added."""
-    m = Meter(**res.meter)
-    return {"wall_s": res.wall_s} | {
-        f"{b.name}_storage_s": b.storage_time(m, p) for b in BACKENDS
-    }
+def measure(ctx: RunContext, q: Query, p: int) -> pd.DataFrame:
+    """One row per system (baseline, then Zidian) for ``q``: the median
+    measured ``wall_s`` of ``REPEATS`` runs after one untimed warm-up
+    run, so that no timed run pays for Spark's code generation; per
+    backend, the modelled storage time of the metered accesses at
+    storage parallelism ``p`` (DESIGN.md §5; never added to the wall);
+    and the exact meter and plan flags. The baseline scans every
+    relation, so its flags are all false. Raises if a meter snapshot
+    differs between repeats."""
+    rows = []
+    for system, run in (("baseline", run_baseline), ("Zidian", run_zidian)):
+        run(ctx, q)
+        results = [run(ctx, q) for _ in range(REPEATS)]
+        snap = results[0].meter
+        if any(r.meter != snap for r in results[1:]):
+            raise RuntimeError(f"{system} meter differs between repeats of {q.to_sql()}")
+        m = Meter(**snap)
+        rows.append(
+            {"system": system, "wall_s": statistics.median(r.wall_s for r in results)}
+            | {s: b.storage_time(m, p) for s, b in zip(STORAGE, BACKENDS)}
+            | {"n_data": m.data_values, "n_get": m.gets, "comm_B": m.comm_bytes, "scans": m.scans}
+            | {f: getattr(results[0], f, False) for f in ("scan_free", "bounded", "fallback")}
+        )
+    return pd.DataFrame(rows)
 
 
 def print_table(title: str, df: pd.DataFrame) -> None:

@@ -12,7 +12,7 @@ from pyspark.sql import SparkSession
 
 from ..runner import build_context, warm
 from ..workloads import mot
-from ._session import get_session, print_table, time_columns, timed_pair
+from ._session import STORAGE, get_session, measure, print_table
 
 PAPER = pd.DataFrame(
     {
@@ -31,25 +31,21 @@ def run(
     p: int = 1,
 ) -> pd.DataFrame:
     """Sweep |D| for one bounded MOT query (1 worker, as in Exp-2): one
-    row per (sf, system) with measured wall (one run after a warm-up),
-    modelled storage time and the exact meter."""
-    rows = []
+    row per (sf, system) with measured wall, modelled storage time and
+    the exact meter."""
+    frames = []
     for sf in sfs:
         ctx = build_context(spark, mot.WORKLOAD, sf=sf)
         try:
             warm(ctx)
-            q = mot.WORKLOAD.template(t_name).instantiate()
-            br, zr = timed_pair(ctx, q)
-            assert zr.bounded, "exp2 requires a bounded query"
-            for system, res in (("baseline", br), ("Zidian", zr)):
-                rows.append(
-                    {"sf": sf, "system": system}
-                    | time_columns(res, p)
-                    | {"n_data": res.meter["data_values"], "n_get": res.meter["gets"]}
-                )
+            df = measure(ctx, mot.WORKLOAD.template(t_name).instantiate(), p)
+            assert df.set_index("system").at["Zidian", "bounded"], "exp2 requires a bounded query"
+            frames.append(df.assign(sf=sf))
         finally:
             ctx.close()
-    return pd.DataFrame(rows)
+    return pd.concat(frames, ignore_index=True)[
+        ["sf", "system", "wall_s", *STORAGE, "n_data", "n_get"]
+    ]
 
 
 def main() -> None:  # pragma: no cover

@@ -9,10 +9,10 @@ Paper numbers (128 GB, 8 workers):
     | comm (MB)  | 4.6e2   | 16.7   | 4.5e2   | 15.4   | 4.5e2   | 15.7   |
 
 We reproduce it at SF=0.1 with one row per system: ``wall_s`` is the
-measured Spark wall time of one run after an untimed warm-up run (the
-same for every backend),
-``<backend>_storage_s`` the modelled storage time of the metered
-accesses at p=8 (DESIGN.md §5), and #data/#get/comm the exact meter.
+measured wall time (median of 3 runs after an untimed warm-up run, the
+same for every backend), ``<backend>_storage_s`` the modelled storage
+time of the metered accesses at p=8 (DESIGN.md §5), and #data/#get/comm
+the exact meter.
 The *shape* to check: Zidian has ~3 orders fewer gets, 1–2 orders fewer
 values and less communication, hence less modelled storage time on
 every backend; measured wall is reported as it is.
@@ -24,7 +24,7 @@ from pyspark.sql import SparkSession
 
 from ..runner import build_context, warm
 from ..workloads import tpch
-from ._session import get_session, print_table, time_columns, timed_pair
+from ._session import STORAGE, get_session, measure, print_table
 
 PAPER = pd.DataFrame(
     {
@@ -45,15 +45,9 @@ def run(spark: SparkSession, *, sf: float = 0.1, p: int = 8) -> pd.DataFrame:
     try:
         warm(ctx)
         q = tpch.WORKLOAD.template("q11").instantiate("GERMANY")
-        br, zr = timed_pair(ctx, q)
-        return pd.DataFrame([
-            {"system": system} | time_columns(res, p) | {
-                "n_data": res.meter["data_values"],
-                "n_get": res.meter["gets"],
-                "comm_MB": res.meter["comm_bytes"] / 1e6,
-            }
-            for system, res in (("baseline", br), ("Zidian", zr))
-        ])
+        df = measure(ctx, q, p)
+        df["comm_MB"] = df["comm_B"] / 1e6
+        return df[["system", "wall_s", *STORAGE, "n_data", "n_get", "comm_MB"]]
     finally:
         ctx.close()
 

@@ -8,9 +8,10 @@ query suite:
     | AIRCA  | 1.0e3   | 1.1   | 1.2e2   | 0.4   | 1.8e3   | 0.4   |
     | TPC-H  | 1.5e3   | 96.1  | 1.9e2   | 52.2  | 3.1e2   | 1.2e2 |
 
-Ours has one row per (workload, system): ``wall_s`` is the average
-measured Spark wall time and ``<backend>_storage_s`` the average
-modelled storage time at p=8 (DESIGN.md §5); the two are never added.
+Ours has one row per (workload, system): ``wall_s`` is the average of
+each query's measured wall time (the median of 3 runs after a warm-up)
+and ``<backend>_storage_s`` the average modelled storage time at p=8
+(DESIGN.md §5); the two are never added.
 Shape to check: Zidian's modelled storage time is below the baseline's
 in every (workload, backend) cell. The paper's win is 2–3 orders of
 magnitude on the skewed MOT/AIRCA data and markedly smaller (1 order)
@@ -23,7 +24,7 @@ from pyspark.sql import SparkSession
 
 from ..runner import build_context, warm
 from ..workloads import WORKLOADS
-from ._session import get_session, print_table, time_columns, timed_pair
+from ._session import STORAGE, get_session, measure, print_table
 
 PAPER = pd.DataFrame(
     {
@@ -44,23 +45,19 @@ def run_workload(
     spark: SparkSession, wl_name: str, *, sf: float, p: int = 8
 ) -> pd.DataFrame:
     """One row per (template, system) over one workload's suite: its
-    scan-free class, measured wall (one run after a warm-up) and
-    modelled storage time."""
+    scan-free class, measured wall and modelled storage time."""
     wl = WORKLOADS[wl_name]
     ctx = build_context(spark, wl, sf=sf)
     try:
         warm(ctx)
-        rows = []
-        for t in wl.templates:
-            q = t.instantiate()
-            br, zr = timed_pair(ctx, q)
-            cls = "scan-free" if t.scan_free else "non-scan-free"
-            for system, res in (("baseline", br), ("Zidian", zr)):
-                rows.append(
-                    {"workload": _LABEL[wl_name], "class": cls, "system": system}
-                    | time_columns(res, p)
-                )
-        return pd.DataFrame(rows)
+        frames = [
+            measure(ctx, t.instantiate(), p).assign(
+                workload=_LABEL[wl_name],
+                **{"class": "scan-free" if t.scan_free else "non-scan-free"},
+            )
+            for t in wl.templates
+        ]
+        return pd.concat(frames)[["workload", "class", "system", "wall_s", *STORAGE]]
     finally:
         ctx.close()
 

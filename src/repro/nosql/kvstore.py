@@ -110,9 +110,9 @@ class KVInstance:
         groups = rel.groupby(list(kv.key), sort=True, dropna=False)
         order = np.argsort(groups.ngroup().to_numpy(), kind="stable")
         self.rel = rel.take(order).reset_index(drop=True)
-        self._arrow = pa.Schema.from_pandas(self.rel, preserve_index=False)
-        self._row_w = row_width(self._arrow)
-        self._key_w = row_width(self._arrow, kv.key)
+        self.arrow = pa.Schema.from_pandas(self.rel, preserve_index=False)
+        self._row_w = row_width(self.arrow)
+        self._key_w = row_width(self.arrow, kv.key)
         sizes = groups.size()
         self._keys = sizes.index  # one entry per block, in frame order
         self._sizes = sizes.to_numpy()
@@ -123,7 +123,7 @@ class KVInstance:
     def df(self) -> DataFrame:
         """The relational version shipped into Spark on the active
         session. Its one reader is perfbench's traced ``visible_frac``."""
-        return to_spark(SparkSession.active(), self.rel, self._arrow)
+        return to_spark(SparkSession.active(), self.rel, self.arrow)
 
     # -- size stats (not metered: schema-design-time information) ----
     @property
@@ -175,7 +175,7 @@ class KVInstance:
             raise ValueError(f"fetch keys {list(keys.columns)} != schema key {self.kv.key}")
         if isinstance(keys, DataFrame):
             out = self._fetch(keys.select(*self.kv.key).toPandas())
-            return to_spark(keys.sparkSession, out, self._arrow)
+            return to_spark(keys.sparkSession, out, self.arrow)
         return self._fetch(keys)
 
     def _fetch(self, keys: pd.DataFrame) -> pd.DataFrame:
@@ -271,8 +271,3 @@ class BaaVStore:
 
     def __getitem__(self, kv: KVSchema) -> KVInstance:
         return self.instances[kv]
-
-    @property
-    def degree(self) -> int:
-        """deg(~D) = max degree over KV instances (§4.1)."""
-        return max((inst.degree for inst in self.instances.values()), default=0)

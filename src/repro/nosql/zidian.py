@@ -21,12 +21,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 
 from ..core import plan as planmod
 from ..core.plangen import NotAnswerable, generate_plan, plan_is_bounded
-from ..core.query import Query
-from ..core.schema import Catalog
+from ..core.query import GroupByQuery, Query, attr_name
+from ..core.schema import Attr, Catalog
 from .kvstore import BaaVStore, TaaVStore, to_spark
 from .sqllayer import evaluate_baseline
 
@@ -38,7 +40,7 @@ BOUND_C = 50
 @dataclass
 class ZidianResult:
     df: DataFrame
-    wall_s: float
+    wall_s: float  # the whole ``answer`` call: plan, bound check, execute, ship
     meter: dict[str, float]
     scan_free: bool
     bounded: bool
@@ -68,25 +70,45 @@ class Zidian:
 
     # -- M3 ----------------------------------------------------------
     def answer(self, q: Query) -> ZidianResult:
-        """Answer ``q`` over the BaaV store; metered and timed."""
+        """Answer ``q`` over the BaaV store; metered, and timed from
+        planning to the answer's arrival in Spark."""
+        t0 = time.perf_counter()
         try:
             p = self.plan(q)
         except NotAnswerable:
             base = evaluate_baseline(self.spark, q, self.taav)
-            return ZidianResult(
-                base.df, base.wall_s, base.meter, False, False, True, None
-            )
+            wall = time.perf_counter() - t0
+            return ZidianResult(base.df, wall, base.meter, False, False, True, None)
         bounded = plan_is_bounded(p, self.degrees(), BOUND_C)
         self.store.meter.reset()
-        t0 = time.perf_counter()
-        out = to_spark(self.spark, planmod.execute(p, self.store))
+        ans = planmod.execute(p, self.store)
+        out = to_spark(self.spark, ans, self._typed_schema(q, ans))
         wall = time.perf_counter() - t0
-        return ZidianResult(
-            out,
-            wall,
-            self.store.meter.snapshot(),
-            p.scan_free,
-            bounded,
-            False,
-            p,
-        )
+        meter = self.store.meter.snapshot()
+        return ZidianResult(out, wall, meter, p.scan_free, bounded, False, p)
+
+    def _typed_schema(self, q: Query, ans: pd.DataFrame) -> pa.Schema | None:
+        """None if Arrow types no column of ``ans`` as ``null``; else the
+        answer's Arrow schema with each such column (an empty answer's
+        strings, say) typed as the store column its values come from."""
+        null = {c for c, col in ans.items() if col.dtype == object and col.isna().all()}
+        if not null:
+            return None
+        relation = {a.alias: a.relation for a in q.atoms}
+        types = {(kv.relation, c): inst.arrow.field(c).type
+                 for kv, inst in self.store.instances.items() for c in kv.columns}
+        schema = pa.Schema.from_pandas(ans, preserve_index=False)
+        for c, (alias, col) in _source_attrs(q).items():
+            if c in null:
+                i = schema.get_field_index(c)
+                schema = schema.set(i, pa.field(c, types[relation[alias], col]))
+        return schema
+
+
+def _source_attrs(q: Query) -> dict[str, Attr]:
+    """Answer column -> the query attribute whose values it holds: a
+    projected or grouped attribute, or the argument of a min/max."""
+    if not isinstance(q, GroupByQuery):
+        return {attr_name(a): a for a in q.projection}
+    out = {attr_name(a): a for a in q.group_by}
+    return out | {g.alias: g.attr for g in q.aggs if g.func in ("min", "max") and g.expr is None}

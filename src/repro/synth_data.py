@@ -165,7 +165,7 @@ def partsupp_pdf(*, sf: float = 0.01, seed: int = 7) -> pd.DataFrame:
     )
 
 
-def nation_pdf(*, seed: int = 8) -> pd.DataFrame:
+def nation_pdf() -> pd.DataFrame:
     return pd.DataFrame(
         {
             "n_nationkey": np.arange(25),
@@ -175,7 +175,7 @@ def nation_pdf(*, seed: int = 8) -> pd.DataFrame:
     )
 
 
-def region_pdf(*, seed: int = 9) -> pd.DataFrame:
+def region_pdf() -> pd.DataFrame:
     return pd.DataFrame(
         {"r_regionkey": np.arange(5), "r_name": REGION_NAMES}
     )

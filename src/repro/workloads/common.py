@@ -47,6 +47,3 @@ class Workload:
             if t.name == name:
                 return t
         raise KeyError(name)
-
-    def scan_free_templates(self) -> list[Template]:
-        return [t for t in self.templates if t.scan_free]

@@ -59,7 +59,7 @@ def test_catalog_lookup_and_iteration():
     c = Catalog.of(RelSchema("r", ("a",), ("a",)), RelSchema("s", ("x", "y"), ("x",)))
     assert c["s"].columns == ("x", "y")
     assert "r" in c and "t" not in c
-    assert c.n_attrs == 3
+    assert sum(len(r.columns) for r in c) == 3
 
 
 def test_baav_for_relation_filters():

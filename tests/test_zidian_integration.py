@@ -126,3 +126,18 @@ def test_fallback_to_sql_layer_when_not_answerable(contexts):
     res = z.answer(q)
     assert res.fallback
     oracle_check(ctx, q, res.df)
+
+
+def test_empty_answer_keeps_store_column_types(ctx_of):
+    """An absent vehicle gives an empty q1 answer; its string columns
+    still arrive in Spark as strings, as for a vehicle that exists."""
+    from pyspark.sql.types import StringType
+
+    ctx = ctx_of("mot")
+    t = ctx.workload.template("q1")
+    empty = run_zidian(ctx, t.instantiate(10**9)).df
+    full = run_zidian(ctx, t.instantiate(7)).df
+    assert empty.count() == 0 and full.count() > 0
+    assert empty.schema == full.schema
+    for c in ("V_make", "V_model", "T_result"):
+        assert empty.schema[c].dataType == StringType()
