@@ -94,10 +94,10 @@ def _rebuild(
     """Rewrite ``q`` over the kept atoms: remap every attribute to an
     occurrence of the same term among kept atoms, then regenerate the
     equality predicates from shared terms."""
+    kept = [(atom.alias, col) for atom in keep for col in catalog[atom.relation].columns]
     occ: dict[Term, Attr] = {}
-    for atom in keep:
-        for col in catalog[atom.relation].columns:
-            occ.setdefault(terms[(atom.alias, col)], (atom.alias, col))
+    for a in kept:
+        occ.setdefault(terms[a], a)
 
     def remap(a: Attr) -> Attr:
         t = terms[a]
@@ -105,29 +105,10 @@ def _rebuild(
             raise ValueError(f"distinguished attribute {a} lost in minimization")
         return occ[t]
 
-    # Equality predicates: chain all kept occurrences of each variable.
-    eq: list[tuple[Attr, Attr]] = []
-    seen: dict[Term, Attr] = {}
-    for atom in keep:
-        for col in catalog[atom.relation].columns:
-            a: Attr = (atom.alias, col)
-            t = terms[a]
-            if t[0] == "var":
-                # only chain variables that the original query equated
-                if t in seen and seen[t] != a:
-                    eq.append((seen[t], a))
-                seen.setdefault(t, a)
-    # Keep only equalities the original query implies (same class), which
-    # is automatic since terms come from the original classes; but drop
-    # chains for classes with a single kept occurrence (none generated).
-
-    const: list[tuple[Attr, object]] = []
-    done_c: set[tuple[Attr, object]] = set()
-    for a, v in q.const:
-        p = (remap(a), v if not isinstance(v, list) else tuple(v))
-        if p not in done_c:
-            done_c.add(p)
-            const.append((remap(a), v))
+    # Equality predicates: equate every kept occurrence of a term with its
+    # first. A constant's occurrences too: its predicate is remapped to
+    # the first occurrence only, and the equalities carry it to the rest.
+    eq = [(remap(a), a) for a in kept if remap(a) != a]
 
     filters = tuple(
         Filter(remap(f.attr), f.op, f.value) for f in q.filters
@@ -137,7 +118,7 @@ def _rebuild(
         q,
         atoms=tuple(keep),
         eq=tuple(eq),
-        const=tuple(const),
+        const=tuple(dict.fromkeys((remap(a), v) for a, v in q.const)),
         filters=tuple(dict.fromkeys(filters)),
         projection=projection,
     )

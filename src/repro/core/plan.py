@@ -1,8 +1,10 @@
 """KBA plans and their metered, interleaved executor (paper §6.2, §7.2).
 
 A :class:`KBAPlan` is an ordered list of operations over a *frontier*
-frame that holds **one column per equality class** of ``min(Q)``,
-named after the class representative (``alias__column``):
+frame that holds **one column per equality class** of ``min(Q)``. The
+planner (``core.plangen``) names those columns and fixes each constant
+class's values; ``KBAPlan.col`` maps every attribute the plan reads to
+its frontier column, so the executor works from column names alone:
 
 - :class:`SeedOp` — constant keyed blocks (the plan's leaf constants);
 - :class:`FetchOp` — extension ``∝``: look the frontier's distinct keys
@@ -12,7 +14,7 @@ named after the class representative (``alias__column``):
 - :class:`ScanOp` — a leaf KV instance for atoms that are not scan-free
   (rule (3) of §7.2).
 
-Natural joins on class-representative columns enforce exactly the
+Natural joins on the shared frontier columns enforce exactly the
 query's equality predicates; residual filters are applied as soon as
 their column exists. A plan with no :class:`ScanOp` is scan-free: its
 only leaves are constants (§4.2).
@@ -26,43 +28,31 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import pandas as pd
 
 from ..nosql.kvstore import BaaVStore
-from .query import (
-    Aggregate,
-    Atom,
-    EqClasses,
-    GroupByQuery,
-    Query,
-    SPCQuery,
-    attr_name,
-)
+from .query import Aggregate, Atom, GroupByQuery, Query, SPCQuery, attr_name
 from .schema import Attr, KVSchema
-
-
-def rep_col(rep: Attr) -> str:
-    """Frontier column name for a class representative."""
-    return f"{rep[0]}__{rep[1]}"
 
 
 @dataclass(frozen=True)
 class SeedOp:
     """Constant seed: one frontier column per constant class; IN-list
-    constants produce one row per combination (multi-key get seeds)."""
+    constants produce one row per combination (multi-key get seeds), and
+    an empty one no row."""
 
     columns: tuple[tuple[str, object], ...]  # (frontier col, value|tuple)
 
 
 @dataclass(frozen=True)
 class FetchOp:
-    """Extension ``∝`` of the frontier with one KV instance."""
+    """Extension ``∝`` of the frontier with one KV instance, keyed on the
+    frontier columns of its atom's key attributes."""
 
     atom: Atom
     kv: KVSchema
-    key_cols: tuple[tuple[str, str], ...]  # (kv key col, frontier col)
 
 
 @dataclass(frozen=True)
@@ -82,10 +72,10 @@ class KBAPlan:
 
     query: Query
     minq: SPCQuery
-    ec: EqClasses  # classes of minq
     ops: tuple[PlanOp, ...]
-    # original -> minq attribute (positionally, via the projection)
-    attr_map: dict[Attr, Attr] = field(default_factory=dict)
+    # frontier column of each attribute of minq's atoms and of each
+    # projected attribute of ``query``
+    col: dict[Attr, str]
 
     @property
     def scan_free(self) -> bool:
@@ -101,7 +91,7 @@ class KBAPlan:
             if isinstance(op, SeedOp):
                 lines.append(f"SEED {dict(op.columns)}")
             elif isinstance(op, FetchOp):
-                keys = ", ".join(f"{k}<-{v}" for k, v in op.key_cols)
+                keys = ", ".join(f"{k}<-{self.col[(op.atom.alias, k)]}" for k in op.kv.key)
                 lines.append(f"FETCH {op.atom.alias}:{op.kv.name} on ({keys})")
             else:
                 lines.append(f"SCAN  {op.atom.alias}:{op.kv.name}")
@@ -140,19 +130,19 @@ def _merge(frontier: pd.DataFrame | None, other: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def _rename_to_classes(
-    df: pd.DataFrame, atom: Atom, kv: KVSchema, ec: EqClasses
+def _rename_to_frontier(
+    df: pd.DataFrame, atom: Atom, kv: KVSchema, col: dict[Attr, str]
 ) -> pd.DataFrame:
-    """Rename an instance's columns to class-representative names; if two
+    """Rename an instance's columns to their frontier columns; if two
     columns of one atom share a class (intra-atom equality), keep one
     and filter equality first."""
-    kept: dict[str, str] = {}  # rep col -> original col kept
+    kept: dict[str, str] = {}  # frontier col -> original col kept
     for c in kv.columns:
-        rep = rep_col(ec.find((atom.alias, c)))
-        if rep in kept:
-            df = df[df[kept[rep]] == df[c]]
+        fc = col[(atom.alias, c)]
+        if fc in kept:
+            df = df[df[kept[fc]] == df[c]]
         else:
-            kept[rep] = c
+            kept[fc] = c
     return df[list(kept.values())].set_axis(list(kept), axis=1)
 
 
@@ -175,27 +165,21 @@ def execute(plan: KBAPlan, store: BaaVStore) -> pd.DataFrame:
             part = _seed(op)
         elif isinstance(op, FetchOp):
             assert frontier is not None, "fetch before any seed/scan"
-            keys = pd.DataFrame({kc: frontier[fc] for kc, fc in op.key_cols})
-            part = _rename_to_classes(store[op.kv].fetch(keys), op.atom, op.kv, plan.ec)
+            keys = pd.DataFrame({k: frontier[plan.col[(op.atom.alias, k)]] for k in op.kv.key})
+            part = _rename_to_frontier(store[op.kv].fetch(keys), op.atom, op.kv, plan.col)
         else:  # ScanOp
-            part = _rename_to_classes(store[op.kv].scan(), op.atom, op.kv, plan.ec)
+            part = _rename_to_frontier(store[op.kv].scan(), op.atom, op.kv, plan.col)
         frontier = _merge(frontier, part)
         # Filter pushdown: apply a residual predicate as soon as its
-        # class column is materialized.
+        # frontier column is materialized.
         for f in list(pending):
-            col = rep_col(plan.ec.find(f.attr))
+            col = plan.col[f.attr]
             if col in frontier.columns:
                 frontier = _where(frontier, col, f.op, f.value)
                 pending.remove(f)
     assert frontier is not None, "empty plan"
     assert not pending, f"unapplied filters {pending}"
     return _finalize(plan, frontier).reset_index(drop=True)
-
-
-def _minq_col(plan: KBAPlan, orig: Attr) -> str:
-    """Frontier column of an original-query attribute."""
-    a = plan.attr_map.get(orig, orig)
-    return rep_col(plan.ec.find(a))
 
 
 def _aggregate(col, g: Aggregate):
@@ -209,16 +193,16 @@ def _aggregate(col, g: Aggregate):
 def _finalize(plan: KBAPlan, df: pd.DataFrame) -> pd.DataFrame:
     q = plan.query
     if not isinstance(q, GroupByQuery):
-        out = pd.DataFrame({attr_name(a): df[_minq_col(plan, a)] for a in q.projection})
+        out = pd.DataFrame({attr_name(a): df[plan.col[a]] for a in q.projection})
         return out.drop_duplicates() if q.distinct else out
     keys = [attr_name(a) for a in q.group_by]
-    data = pd.DataFrame({k: df[_minq_col(plan, a)] for k, a in zip(keys, q.group_by)})
+    data = pd.DataFrame({k: df[plan.col[a]] for k, a in zip(keys, q.group_by)})
     for i, g in enumerate(q.aggs):
         if g.expr is not None:
             tmpl, attrs = g.expr
-            data[f"__agg_{i}"] = df.eval(tmpl.format(*[_minq_col(plan, a) for a in attrs]))
+            data[f"__agg_{i}"] = df.eval(tmpl.format(*[plan.col[a] for a in attrs]))
         elif g.attr is not None:
-            data[f"__agg_{i}"] = df[_minq_col(plan, g.attr)]
+            data[f"__agg_{i}"] = df[plan.col[g.attr]]
     if keys:
         grouped = data.groupby(keys, dropna=False, sort=False)
         out = grouped.size().rename("__size").reset_index()

@@ -5,11 +5,15 @@ Given a query ``Q`` and a BaaV schema ``~R``, generate a
 
 1. minimize the (max SPC sub-)query — Condition (II)/(III) are stated
    over ``min(Q)``;
-2. :func:`~repro.core.closure.chase` from the constant classes with one
+2. name one frontier column per equality class of ``min(Q)``
+   (:func:`rep_col`) and map every attribute the plan reads to it
+   (``KBAPlan.col``); each constant class seeds the values its
+   constants allow (``EqClasses.const_of``), none if they contradict;
+3. :func:`~repro.core.closure.chase` from the constant classes with one
    rule per (unfetched atom, covering KV schema), narrowest cover
    first: key classes ⇒ column classes (the ``GET`` rules, §6.1). The
    first rule fired for an atom is its extension ``∝``;
-3. when the chase stalls, the first remaining atom gets a scan leaf
+4. when the chase stalls, the first remaining atom gets a scan leaf
    over its narrowest cover (rule (3) of §6.2) and the chase resumes
    from its attributes (scan-free *sub-plans* of non-scan-free
    queries, §5.1).
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 from .closure import chase
 from .minimize import minimize
-from .plan import FetchOp, KBAPlan, PlanOp, ScanOp, SeedOp, rep_col
+from .plan import FetchOp, KBAPlan, PlanOp, ScanOp, SeedOp
 from .query import Atom, Query, SPCQuery, spc_of
 from .schema import Attr, BaaVSchema, Catalog, KVSchema
 
@@ -50,10 +54,9 @@ def _covers(minq: SPCQuery, schema: BaaVSchema, atom: Atom) -> list[KVSchema]:
     return sorted(out, key=lambda kv: (len(kv.columns), kv.name))
 
 
-def _attr_map(q: Query, minq: SPCQuery) -> dict[Attr, Attr]:
-    """Original attr -> minq attr, positionally via the projection."""
-    orig = spc_of(q)
-    return dict(zip(orig.projection, minq.projection))
+def rep_col(rep: Attr) -> str:
+    """Frontier column name for a class representative."""
+    return f"{rep[0]}__{rep[1]}"
 
 
 def generate_plan(q: Query, catalog: Catalog, schema: BaaVSchema) -> KBAPlan:
@@ -61,6 +64,15 @@ def generate_plan(q: Query, catalog: Catalog, schema: BaaVSchema) -> KBAPlan:
     spc = spc_of(q)
     minq = minimize(spc, catalog)
     ec = minq.eq_classes()
+    # The frontier column of every attribute of min(Q)'s atoms, and of
+    # each projected attribute of Q through its image in min(Q).
+    col = {
+        (a.alias, c): rep_col(ec.find((a.alias, c)))
+        for a in minq.atoms
+        for c in catalog[a.relation].columns
+    }
+    for orig, a in zip(spc.projection, minq.projection):
+        col.setdefault(orig, col[a])
 
     covers = {a.alias: _covers(minq, schema, a) for a in minq.atoms}
     for alias, kvs in covers.items():
@@ -71,50 +83,40 @@ def generate_plan(q: Query, catalog: Catalog, schema: BaaVSchema) -> KBAPlan:
             )
 
     ops: list[PlanOp] = []
-    # Seeds: one frontier column per constant class.
-    seed_cols: dict[str, object] = {}
-    for a, v in minq.const:
-        seed_cols[rep_col(ec.find(a))] = v
-    if seed_cols:
-        ops.append(SeedOp(tuple(sorted(seed_cols.items()))))
+    # Seeds: one frontier column per constant class, holding the values
+    # all of its constants allow (``()`` seeds no row).
+    seeds = {col[a]: ec.const_of(a) for a, _ in minq.const}
+    if seeds:
+        ops.append(SeedOp(tuple(sorted(seeds.items()))))
 
-    def classes(atom: Atom, cols: tuple[str, ...]) -> frozenset[Attr]:
-        return frozenset(ec.find((atom.alias, c)) for c in cols)
+    def columns(atom: Atom, cols: tuple[str, ...]) -> frozenset[str]:
+        return frozenset(col[(atom.alias, c)] for c in cols)
 
-    known = frozenset(ec.find(a) for a, _ in minq.const)
+    known = frozenset(seeds)
     remaining: list[Atom] = list(minq.atoms)
     while True:
         # Chase the unfetched atoms' covers, narrowest first: the first
         # rule fired for an atom is its extension ∝.
         rules = [
-            (classes(atom, kv.key), classes(atom, kv.columns), (atom, kv))
+            (columns(atom, kv.key), columns(atom, kv.columns), (atom, kv))
             for atom in remaining
             for kv in covers[atom.alias]
         ]
         known, fired = chase(known, rules)
         for atom, kv in fired:
             if atom in remaining:
-                key_cols = tuple(
-                    (c, rep_col(ec.find((atom.alias, c)))) for c in kv.key
-                )
-                ops.append(FetchOp(atom, kv, key_cols))
+                ops.append(FetchOp(atom, kv))
                 remaining.remove(atom)
         if not remaining:
             break
         # The chase stalled: scan the first remaining atom (stable atom
-        # order, not a cost-based choice) and chase on from its classes.
+        # order, not a cost-based choice) and chase on from its columns.
         atom = remaining.pop(0)
         kv = covers[atom.alias][0]
         ops.append(ScanOp(atom, kv))
-        known |= classes(atom, kv.columns)
+        known |= columns(atom, kv.columns)
 
-    return KBAPlan(
-        query=q,
-        minq=minq,
-        ec=ec,
-        ops=tuple(ops),
-        attr_map=_attr_map(q, minq),
-    )
+    return KBAPlan(query=q, minq=minq, ops=tuple(ops), col=col)
 
 
 def plan_is_bounded(

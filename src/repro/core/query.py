@@ -176,9 +176,9 @@ class SPCQuery:
         frm = ", ".join(f"{a.relation} AS {a.alias}" for a in self.atoms)
         conds = [f"{a[0]}.{a[1]} = {b[0]}.{b[1]}" for a, b in self.eq]
         for a, v in self.const:
-            if isinstance(v, tuple):
+            if isinstance(v, tuple):  # SQL has no empty IN-list: IN () is false
                 vals = ", ".join(_sql_literal(x) for x in v)
-                conds.append(f"{a[0]}.{a[1]} IN ({vals})")
+                conds.append(f"{a[0]}.{a[1]} IN ({vals})" if v else "FALSE")
             else:
                 conds.append(f"{a[0]}.{a[1]} = {_sql_literal(v)}")
         conds += [f.to_sql() for f in self.filters]
@@ -266,7 +266,8 @@ class EqClasses:
 
     Two attributes in one class are interchangeable (equality
     transitivity, rule (b) of ``GET`` in paper §6.1). A class may carry
-    a constant (or an ``IN``-list of constants) from a const predicate.
+    a constant: the values that satisfy all of its const predicates, a
+    scalar or an ``IN``-tuple, and ``()`` when they contradict.
     """
 
     def __init__(self) -> None:
@@ -283,12 +284,10 @@ class EqClasses:
         for a, b in eq:
             ec._union(a, b)
         for a, v in const:
+            # A class keeps the values all its constants allow; meeting a
+            # constant with itself de-duplicates an IN-list.
             root = ec.find(a)
-            if root in ec._const and ec._const[root] != v:
-                # Contradictory constants: keep the first; queries in the
-                # workloads never do this, callers may pre-check.
-                continue
-            ec._const[root] = v
+            ec._const[root] = _meet(ec._const.get(root, v), v)
         return ec
 
     def find(self, a: Attr) -> Attr:
@@ -308,8 +307,17 @@ class EqClasses:
         self._parent.setdefault(rb, rb)
         if ra != rb:
             self._parent[rb] = ra
-            if rb in self._const:
-                self._const.setdefault(ra, self._const.pop(rb))
 
     def const_of(self, a: Attr) -> object | None:
         return self._const.get(self.find(a))
+
+
+def _meet(a: object, b: object) -> object:
+    """The values both constants allow (each a scalar or an ``IN``-tuple):
+    a scalar if either is one, else an ``IN``-tuple in ``a``'s order
+    without duplicates; ``()`` if none."""
+    bs = b if isinstance(b, tuple) else (b,)
+    both = tuple(dict.fromkeys(x for x in (a if isinstance(a, tuple) else (a,)) if x in bs))
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return both
+    return both[0] if both else ()

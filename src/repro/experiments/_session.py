@@ -12,6 +12,7 @@ from ..nosql.kvstore import Meter
 from ..runner import RunContext, run_baseline, run_zidian
 
 REPEATS = 3  # timed runs per query and system, after one untimed warm-up
+WORKERS = 8  # storage parallelism of Tables 2 and 3: the paper's 8 workers
 
 STORAGE = [f"{b.name}_storage_s" for b in BACKENDS]
 

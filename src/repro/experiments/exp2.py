@@ -27,18 +27,16 @@ def run(
     spark: SparkSession,
     *,
     sfs: tuple[float, ...] = (0.01, 0.02, 0.04, 0.08),
-    t_name: str = "q1",
-    p: int = 1,
 ) -> pd.DataFrame:
-    """Sweep |D| for one bounded MOT query (1 worker, as in Exp-2): one
-    row per (sf, system) with measured wall, modelled storage time and
-    the exact meter."""
+    """Sweep |D| for the bounded MOT q1 (1 worker, as in Exp-2): one row
+    per (sf, system) with measured wall, modelled storage time and the
+    exact meter."""
     frames = []
     for sf in sfs:
         ctx = build_context(spark, mot.WORKLOAD, sf=sf)
         try:
             warm(ctx)
-            df = measure(ctx, mot.WORKLOAD.template(t_name).instantiate(), p)
+            df = measure(ctx, mot.WORKLOAD.template("q1").instantiate(), 1)
             assert df.set_index("system").at["Zidian", "bounded"], "exp2 requires a bounded query"
             frames.append(df.assign(sf=sf))
         finally:

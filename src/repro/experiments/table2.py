@@ -24,7 +24,7 @@ from pyspark.sql import SparkSession
 
 from ..runner import build_context, warm
 from ..workloads import tpch
-from ._session import STORAGE, get_session, measure, print_table
+from ._session import STORAGE, WORKERS, get_session, measure, print_table
 
 PAPER = pd.DataFrame(
     {
@@ -39,13 +39,13 @@ PAPER = pd.DataFrame(
 )
 
 
-def run(spark: SparkSession, *, sf: float = 0.1, p: int = 8) -> pd.DataFrame:
+def run(spark: SparkSession, *, sf: float = 0.1) -> pd.DataFrame:
     """Reproduce Table 2 at the given scale factor."""
     ctx = build_context(spark, tpch.WORKLOAD, sf=sf)
     try:
         warm(ctx)
         q = tpch.WORKLOAD.template("q11").instantiate("GERMANY")
-        df = measure(ctx, q, p)
+        df = measure(ctx, q, WORKERS)
         df["comm_MB"] = df["comm_B"] / 1e6
         return df[["system", "wall_s", *STORAGE, "n_data", "n_get", "comm_MB"]]
     finally:

@@ -24,7 +24,7 @@ from pyspark.sql import SparkSession
 
 from ..runner import build_context, warm
 from ..workloads import WORKLOADS
-from ._session import STORAGE, get_session, measure, print_table
+from ._session import STORAGE, WORKERS, get_session, measure, print_table
 
 PAPER = pd.DataFrame(
     {
@@ -41,9 +41,7 @@ PAPER = pd.DataFrame(
 _LABEL = {"mot": "MOT", "airca": "AIRCA", "tpch": "TPC-H"}
 
 
-def run_workload(
-    spark: SparkSession, wl_name: str, *, sf: float, p: int = 8
-) -> pd.DataFrame:
+def run_workload(spark: SparkSession, wl_name: str, *, sf: float) -> pd.DataFrame:
     """One row per (template, system) over one workload's suite: its
     scan-free class, measured wall and modelled storage time."""
     wl = WORKLOADS[wl_name]
@@ -51,7 +49,7 @@ def run_workload(
     try:
         warm(ctx)
         frames = [
-            measure(ctx, t.instantiate(), p).assign(
+            measure(ctx, t.instantiate(), WORKERS).assign(
                 workload=_LABEL[wl_name],
                 **{"class": "scan-free" if t.scan_free else "non-scan-free"},
             )
@@ -71,13 +69,12 @@ def run(
     spark: SparkSession,
     *,
     sfs: dict[str, float] | None = None,
-    p: int = 8,
     workloads: tuple[str, ...] = ("mot", "airca", "tpch"),
 ) -> tuple[pd.DataFrame, pd.DataFrame]:
     """(averages per workload and system, the same per scan-free class)."""
     sfs = sfs or DEFAULT_SFS
     per_query = pd.concat(
-        [run_workload(spark, wl, sf=sfs[wl], p=p) for wl in workloads]
+        [run_workload(spark, wl, sf=sfs[wl]) for wl in workloads]
     )
 
     def avg(by: list[str]) -> pd.DataFrame:

@@ -235,9 +235,6 @@ class TaaVStore:
         self._n_rows = {name: len(pdf) for name, pdf in relations.items()}
         self._widths = {name: row_width(pdf) for name, pdf in relations.items()}
 
-    def n_rows(self, name: str) -> int:
-        return self._n_rows[name]
-
     def scan(self, name: str) -> DataFrame:
         """Scan a relation: one get per tuple, whole relation shipped."""
         df = self.dfs[name]

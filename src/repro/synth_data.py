@@ -46,12 +46,10 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _zipf_choice(
-    g: np.random.Generator, items: np.ndarray, n: int, alpha: float = 1.1
-) -> np.ndarray:
-    """Zipfian draw over ``items`` (rank-ordered skew)."""
+def _zipf_choice(g: np.random.Generator, items: np.ndarray, n: int) -> np.ndarray:
+    """Zipfian draw over ``items`` (rank-ordered skew, exponent 1.1)."""
     ranks = np.arange(1, len(items) + 1)
-    w = 1.0 / ranks**alpha
+    w = 1.0 / ranks**1.1
     w /= w.sum()
     return g.choice(items, size=n, p=w)
 

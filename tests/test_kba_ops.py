@@ -17,7 +17,7 @@ import datetime as dt
 import pandas as pd
 import pytest
 
-from repro.core.plan import FetchOp, ScanOp, SeedOp, execute, rep_col
+from repro.core.plan import FetchOp, ScanOp, SeedOp, execute
 from repro.core.plangen import generate_plan
 from repro.core.query import Aggregate, Atom, Filter, GroupByQuery, SPCQuery
 from repro.core.schema import BaaVSchema, Catalog, KVSchema, RelSchema
@@ -86,7 +86,7 @@ def _steps(plan) -> list[tuple]:
     out = []
     for op in plan.ops:
         if isinstance(op, FetchOp):
-            out.append(("FETCH", op.kv, tuple(k for k, _ in op.key_cols)))
+            out.append(("FETCH", op.kv, op.kv.key))
         elif isinstance(op, ScanOp):
             out.append(("SCAN", op.kv))
     return out
@@ -156,8 +156,8 @@ def test_extension_requires_key_subset():
                 produced |= {c for c, _ in op.columns}
                 continue
             if isinstance(op, FetchOp):
-                assert {fc for _, fc in op.key_cols} <= produced, op
-            produced |= {rep_col(plan.ec.find((op.atom.alias, c))) for c in op.kv.columns}
+                assert {plan.col[(op.atom.alias, k)] for k in op.kv.key} <= produced, op
+            produced |= {plan.col[(op.atom.alias, c)] for c in op.kv.columns}
 
 
 def test_select(store):

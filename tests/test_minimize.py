@@ -127,6 +127,21 @@ def test_differing_constants_block_fold():
     assert len(minimize(q, CAT).atoms) == 2
 
 
+def test_constant_binds_every_surviving_atom():
+    """R3 folds onto R1 (set semantics: DISTINCT); b = 10 must still bind
+    R1 and R2, whose projected attributes keep both of them."""
+    q = SPCQuery(
+        atoms=(Atom("R1", "r"), Atom("R2", "r"), Atom("R3", "r")),
+        const=((("R1", "b"), 10), (("R2", "b"), 10), (("R3", "b"), 10)),
+        projection=(("R1", "a"), ("R2", "a")),
+        distinct=True,
+    )
+    m = minimize(q, CAT)
+    assert len(m.atoms) == 2
+    assert m.eq_classes().const_of(("R2", "b")) == 10
+    assert _semantics_equal(q, m)
+
+
 def test_minimize_idempotent():
     q = SPCQuery(
         atoms=(Atom("R1", "r"), Atom("R2", "r"), Atom("S", "s")),

@@ -1,4 +1,6 @@
 """Tests for chase-based KBA plan generation (paper §6.2, Thm 6)."""
+from dataclasses import replace
+
 import pytest
 
 from repro.core.minimize import minimize
@@ -8,7 +10,7 @@ from repro.core.preservation import is_result_preserving
 from repro.core.query import Atom, SPCQuery, spc_of
 from repro.core.scanfree import get_closure, is_scan_free
 from repro.core.schema import BaaVSchema, Catalog, KVSchema, RelSchema
-from repro.workloads import WORKLOADS, tpch
+from repro.workloads import WORKLOADS, mot, tpch
 
 
 def test_example_7_plan_structure():
@@ -34,7 +36,27 @@ def test_plan_keys_flow_through_equalities():
         op for op in plan.ops if isinstance(op, FetchOp) and op.kv.relation == "supplier"
     ][0]
     # supplier is fetched by s_nationkey, bound to nation's class column
-    assert supplier_fetch.key_cols[0][0] == "s_nationkey"
+    assert supplier_fetch.kv.key[0] == "s_nationkey"
+    assert plan.col[("S", "s_nationkey")] == plan.col[("N", "n_nationkey")]
+
+
+@pytest.mark.parametrize(
+    "const,seed",
+    [
+        ((7, 7), 7),
+        ((7, 8), ()),
+        ((8, (7, 9)), ()),
+        ((8, (7, 8)), 8),
+        (((9, 7, 9, 8), (8, 9)), (9, 8)),
+    ],
+)
+def test_seed_holds_the_values_all_class_constants_allow(const, seed):
+    """Constants on one class (MOT q1's V and T vehicle_id) are
+    intersected into one seed; contradicting ones seed nothing."""
+    v, t = const
+    q = replace(mot.q1(7), const=((("V", "vehicle_id"), v), (("T", "vehicle_id"), t)))
+    plan = generate_plan(q, mot.WORKLOAD.catalog, mot.WORKLOAD.baav)
+    assert plan.ops[0] == SeedOp((("V__vehicle_id", seed),))
 
 
 @pytest.mark.parametrize(

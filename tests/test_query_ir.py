@@ -180,6 +180,28 @@ def test_eq_classes_constant_propagation():
     assert ec.const_of(("C", "z")) is None
 
 
+@pytest.mark.parametrize(
+    "consts,values",
+    [
+        ((7, 7), 7),  # scalar ∩ scalar, equal
+        ((7, 8), ()),  # scalar ∩ scalar, contradicting
+        ((8, (7, 8, 9)), 8),  # scalar ∩ IN
+        (((7, 8, 9), 8), 8),
+        ((8, (7, 9)), ()),
+        (((9, 7, 8), (8, 9, 10)), (9, 8)),  # IN ∩ IN, first list's order
+        (((7, 8), (9,)), ()),
+        (((7, 7, 8),), (7, 8)),  # a duplicate IN value
+    ],
+)
+def test_eq_classes_intersect_constants(consts, values):
+    """A class's constant is the values all its constants allow; the
+    constants sit on either member of the class."""
+    members = [("A", "x"), ("B", "y")]
+    ec = EqClasses.build([tuple(members)], [(members[i % 2], v) for i, v in enumerate(consts)])
+    got = ec.const_of(("A", "x"))
+    assert got == values and type(got) is type(values)
+
+
 def test_eq_classes_members():
     universe = [("A", "x"), ("B", "y"), ("C", "z")]
     ec = EqClasses.build([(("A", "x"), ("B", "y"))], [])

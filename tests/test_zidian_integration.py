@@ -7,10 +7,13 @@ For each template:
 - scan-free templates execute with zero scans (Proposition 7a),
 - classifier labels match the intended suite labels.
 """
+from dataclasses import replace
+
 import pytest
 
+from repro.core.query import Atom, SPCQuery
 from repro.runner import oracle_check, run_baseline, run_zidian
-from repro.workloads import WORKLOADS
+from repro.workloads import WORKLOADS, mot
 
 ALL = [
     (w, t.name) for w in ("tpch", "mot", "airca") for t in WORKLOADS[w].templates
@@ -107,7 +110,6 @@ def test_scan_free_gets_far_fewer_than_baseline(ctx_of):
 def test_fallback_to_sql_layer_when_not_answerable(contexts):
     """M1: a query outside the BaaV store's coverage falls back to the
     plain SQL layer and still returns correct results."""
-    from repro.core.query import Atom, SPCQuery
     from repro.core.schema import BaaVSchema, KVSchema
     from repro.nosql.zidian import Zidian
 
@@ -141,3 +143,33 @@ def test_empty_answer_keeps_store_column_types(ctx_of):
     assert empty.schema == full.schema
     for c in ("V_make", "V_model", "T_result"):
         assert empty.schema[c].dataType == StringType()
+
+
+_V, _T = ("V", "vehicle_id"), ("T", "vehicle_id")
+ODD_CONSTANTS = {
+    "contradicting": replace(mot.q1(7), const=((_V, 7), (_T, 8))),
+    "scalar_outside_in": replace(mot.q1(7), const=((_V, 8), (_T, (7, 9)))),
+    "duplicate_in": replace(mot.q1(7), const=((_T, (7, 7)),)),
+    "empty_in": mot.q5(()),
+    # min(Q) folds T3 onto T1 (set semantics); the constant must still bind T2
+    "folded_self_join": SPCQuery(
+        atoms=(Atom("T1", "mottest"), Atom("T2", "mottest"), Atom("T3", "mottest")),
+        const=tuple(((t, "vehicle_id"), 7) for t in ("T1", "T2", "T3")),
+        projection=(("T1", "test_id"), ("T2", "test_id")),
+        distinct=True,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ODD_CONSTANTS)
+def test_odd_constants_match_oracle(ctx_of, case):
+    """Constants on one class are intersected and de-duplicated, an empty
+    IN-list holds for no row, and minimization keeps every constant: both
+    systems agree with DuckDB, and an empty seed fetches nothing."""
+    ctx = ctx_of("mot")
+    q = ODD_CONSTANTS[case]
+    zr = run_zidian(ctx, q)
+    oracle_check(ctx, q, zr.df)
+    oracle_check(ctx, q, run_baseline(ctx, q).df)
+    if case == "empty_in":
+        assert zr.df.count() == 0 and zr.meter["gets"] == 0
