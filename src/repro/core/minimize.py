@@ -1,9 +1,13 @@
 """SPC query minimization ``min(Q)`` (paper §5.2).
 
 Classical conjunctive-query minimization by endomorphism search
-(Chandra–Merlin; see [3] in the paper). ``Q ≡ Q \\ {a}`` iff there is a
+(Chandra–Merlin; see [3] in the paper): ``Q ≡ Q \\ {a}`` iff there is a
 homomorphism from ``Q`` into ``Q \\ {a}`` that fixes the distinguished
-terms, and the core is reached by removing one atom at a time.
+terms, and the core is reached by removing one atom at a time. Under bag
+semantics equivalence needs isomorphism (Chaudhuri & Vardi, PODS 1993),
+so an atom is folded only where duplicates cannot matter (DISTINCT, or
+only ``min``/``max`` aggregates) or where its primary key is equated
+with another atom's of its relation: both bind one tuple (Example 5).
 
 Distinguished terms are the equality classes of projected attributes,
 constants (including ``IN``-lists), and attributes used in residual
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .query import Atom, Filter, SPCQuery
+from .query import Atom, Filter, GroupByQuery, Query, SPCQuery, spc_of
 from .schema import Attr, Catalog
 
 # A term is ("const", value) or ("var", class-representative-Attr).
@@ -124,16 +128,27 @@ def _rebuild(
     )
 
 
-def minimize(q: SPCQuery, catalog: Catalog) -> SPCQuery:
-    """``min(Q)``: the minimal equivalent SPC query (unique up to
-    isomorphism)."""
-    cur = q
+def minimize(q: Query, catalog: Catalog) -> SPCQuery:
+    """``min(Q)``: the minimal SPC query equivalent to ``q`` (to the max
+    SPC sub-query of a group-by) under ``q``'s bag or set semantics."""
+    cur = spc_of(q)
+    sets = cur.distinct or isinstance(q, GroupByQuery) and all(
+        g.func in ("min", "max") for g in q.aggs
+    )
     changed = True
     while changed and len(cur.atoms) > 1:
         changed = False
         terms, distinguished = _terms(cur, catalog)
         for drop in cur.atoms:
             keep = [a for a in cur.atoms if a is not drop]
+            pk = catalog[drop.relation].pk
+            twin = pk and any(  # another atom of the relation with the same key
+                a.relation == drop.relation
+                and all(terms[(drop.alias, k)] == terms[(a.alias, k)] for k in pk)
+                for a in keep
+            )
+            if not (sets or twin):
+                continue
             if _find_hom(cur, catalog, keep, terms, distinguished) is not None:
                 cur = _rebuild(cur, catalog, keep, terms)
                 changed = True

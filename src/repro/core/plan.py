@@ -1,7 +1,7 @@
 """KBA plans and their metered, interleaved executor (paper §6.2, §7.2).
 
 A :class:`KBAPlan` is an ordered list of operations over a *frontier*
-frame that holds **one column per equality class** of ``min(Q)``. The
+table that holds **one column per equality class** of ``min(Q)``. The
 planner (``core.plangen``) names those columns and fixes each constant
 class's values; ``KBAPlan.col`` maps every attribute the plan reads to
 its frontier column, so the executor works from column names alone:
@@ -19,21 +19,26 @@ query's equality predicates; residual filters are applied as soon as
 their column exists. A plan with no :class:`ScanOp` is scan-free: its
 only leaves are constants (§4.2).
 
-:func:`execute` runs a plan in the driver process on pandas frames, over
-the keyed-block store of ``nosql.kvstore``, with SQL semantics: null
-join keys match nothing, a comparison with a null is not true, and
-aggregates skip nulls.
+:func:`execute` runs a plan in the driver process on Arrow tables, over
+the keyed-block store of ``nosql.kvstore``: merges are inner hash joins,
+filters ``pyarrow.compute`` comparisons and finalisation a group-by.
+Arrow's kernels have SQL's null semantics, so the executor carries no
+null handling of its own: null join keys match nothing, a comparison
+with a null is not true, and aggregates skip nulls.
 """
 from __future__ import annotations
 
-import itertools
+import ast
+import functools
 import operator
 from dataclasses import dataclass
 
-import pandas as pd
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..nosql.kvstore import BaaVStore
-from .query import Aggregate, Atom, GroupByQuery, Query, SPCQuery, attr_name
+from .query import Atom, GroupByQuery, Query, SPCQuery, attr_name
 from .schema import Attr, KVSchema
 
 
@@ -109,30 +114,44 @@ _CMP = {
     "=": operator.eq,
 }
 
+# Arithmetic of aggregate templates, which ``pc.Expression`` cannot
+# evaluate: it has no reflected operators (``1 - field`` fails). SQL's
+# ``/`` of two integers is not truncated, Arrow's ``divide`` is.
+_ARITH = {ast.Add: pc.add, ast.Sub: pc.subtract, ast.Mult: pc.multiply,
+          ast.Div: lambda a, b: pc.divide(pc.multiply(a, 1.0), b)}
 
-def _where(df: pd.DataFrame, col: str, op: str, value: object) -> pd.DataFrame:
-    """Rows where ``col op value`` is true; a null compares to nothing,
-    ``<>`` included, as in SQL."""
-    c = df[col]
-    return df[_CMP[op](c, value) & c.notna()]
+
+def _arith(node: ast.expr, cols: list[pa.ChunkedArray]):
+    """A parsed aggregate template over ``cols``, its slot ``_i`` bound to
+    ``cols[i]``."""
+    if isinstance(node, ast.BinOp):
+        return _ARITH[type(node.op)](_arith(node.left, cols), _arith(node.right, cols))
+    return cols[int(node.id[1:])] if isinstance(node, ast.Name) else node.value
 
 
-def _merge(frontier: pd.DataFrame | None, other: pd.DataFrame) -> pd.DataFrame:
-    """Natural join on the shared class columns; SQL never equates two
-    nulls, so rows with a null join key drop out first."""
+def _cross(left: pa.Table, right: pa.Table) -> pa.Table:
+    """Every row of ``left`` beside every row of ``right``."""
+    n, m = left.num_rows, right.num_rows
+    left, right = left.take(np.repeat(np.arange(n), m)), right.take(np.tile(np.arange(m), n))
+    names = left.column_names + right.column_names
+    return pa.Table.from_arrays(left.columns + right.columns, names)
+
+
+def _merge(frontier: pa.Table | None, other: pa.Table) -> pa.Table:
+    """Natural join on the shared class columns."""
     if frontier is None:
         return other
-    shared = sorted(set(frontier.columns) & set(other.columns))
+    shared = sorted(set(frontier.column_names) & set(other.column_names))
     if not shared:
-        return frontier.merge(other, how="cross")
-    return frontier.dropna(subset=shared).merge(
-        other.dropna(subset=shared), on=shared, how="inner"
-    )
+        return _cross(frontier, other)
+    # Arrow builds its hash table on the right input: make it the smaller.
+    big, small = sorted((frontier, other), key=lambda t: t.num_rows, reverse=True)
+    return big.join(small, keys=shared, join_type="inner")
 
 
 def _rename_to_frontier(
-    df: pd.DataFrame, atom: Atom, kv: KVSchema, col: dict[Attr, str]
-) -> pd.DataFrame:
+    table: pa.Table, atom: Atom, kv: KVSchema, col: dict[Attr, str]
+) -> pa.Table:
     """Rename an instance's columns to their frontier columns; if two
     columns of one atom share a class (intra-atom equality), keep one
     and filter equality first."""
@@ -140,32 +159,39 @@ def _rename_to_frontier(
     for c in kv.columns:
         fc = col[(atom.alias, c)]
         if fc in kept:
-            df = df[df[kept[fc]] == df[c]]
+            table = table.filter(pc.field(kept[fc]) == pc.field(c))
         else:
             kept[fc] = c
-    return df[list(kept.values())].set_axis(list(kept), axis=1)
+    return table.select(list(kept.values())).rename_columns(list(kept))
 
 
-def _seed(op: SeedOp) -> pd.DataFrame:
-    cols = [c for c, _ in op.columns]
-    lists = [v if isinstance(v, tuple) else (v,) for _, v in op.columns]
-    return pd.DataFrame(list(itertools.product(*lists)), columns=cols)
+def _seed(op: SeedOp, types: dict[str, pa.DataType]) -> pa.Table:
+    """The seed's rows, each column typed as the store columns it keys."""
+    parts = [
+        pa.table({c: pa.array(v if isinstance(v, tuple) else (v,), types[c])})
+        for c, v in op.columns
+    ]
+    return functools.reduce(_cross, parts)
 
 
-def execute(plan: KBAPlan, store: BaaVStore) -> pd.DataFrame:
+def execute(plan: KBAPlan, store: BaaVStore) -> pa.Table:
     """Execute a KBA plan over a BaaV store with metered data access.
 
-    Returns a frame whose columns match ``query.to_sql()`` output (same
+    Returns a table whose columns match ``query.to_sql()`` output (same
     names, same bag of rows).
     """
-    frontier: pd.DataFrame | None = None
+    types = {
+        plan.col[(op.atom.alias, c)]: store[op.kv].table.schema.field(c).type
+        for op in plan.ops if not isinstance(op, SeedOp) for c in op.kv.columns
+    }
+    frontier: pa.Table | None = None
     pending = list(plan.minq.filters)
     for op in plan.ops:
         if isinstance(op, SeedOp):
-            part = _seed(op)
+            part = _seed(op, types)
         elif isinstance(op, FetchOp):
             assert frontier is not None, "fetch before any seed/scan"
-            keys = pd.DataFrame({k: frontier[plan.col[(op.atom.alias, k)]] for k in op.kv.key})
+            keys = pa.table({k: frontier[plan.col[(op.atom.alias, k)]] for k in op.kv.key})
             part = _rename_to_frontier(store[op.kv].fetch(keys), op.atom, op.kv, plan.col)
         else:  # ScanOp
             part = _rename_to_frontier(store[op.kv].scan(), op.atom, op.kv, plan.col)
@@ -174,50 +200,40 @@ def execute(plan: KBAPlan, store: BaaVStore) -> pd.DataFrame:
         # frontier column is materialized.
         for f in list(pending):
             col = plan.col[f.attr]
-            if col in frontier.columns:
-                frontier = _where(frontier, col, f.op, f.value)
+            if col in frontier.column_names:
+                frontier = frontier.filter(_CMP[f.op](pc.field(col), f.value))
                 pending.remove(f)
     assert frontier is not None, "empty plan"
     assert not pending, f"unapplied filters {pending}"
-    return _finalize(plan, frontier).reset_index(drop=True)
+    return _finalize(plan, frontier)
 
 
-def _aggregate(col, g: Aggregate):
-    """``g`` over a column or a grouped column: ``sum`` of no value is
-    NULL, ``count`` counts the non-null values."""
-    if g.func == "sum":
-        return col.sum(min_count=1)
-    return col.mean() if g.func == "avg" else getattr(col, g.func)()
-
-
-def _finalize(plan: KBAPlan, df: pd.DataFrame) -> pd.DataFrame:
+def _finalize(plan: KBAPlan, frontier: pa.Table) -> pa.Table:
     q = plan.query
     if not isinstance(q, GroupByQuery):
-        out = pd.DataFrame({attr_name(a): df[plan.col[a]] for a in q.projection})
-        return out.drop_duplicates() if q.distinct else out
+        out = pa.table({attr_name(a): frontier[plan.col[a]] for a in q.projection})
+        return out.group_by(out.column_names).aggregate([]) if q.distinct else out
     keys = [attr_name(a) for a in q.group_by]
-    data = pd.DataFrame({k: df[plan.col[a]] for k, a in zip(keys, q.group_by)})
+    data = frontier.select([])  # no column yet, but the frontier's rows
+    for k, a in zip(keys, q.group_by):
+        data = data.append_column(k, frontier[plan.col[a]])
+    aggs = []
     for i, g in enumerate(q.aggs):
         if g.expr is not None:
             tmpl, attrs = g.expr
-            data[f"__agg_{i}"] = df.eval(tmpl.format(*[plan.col[a] for a in attrs]))
+            parsed = ast.parse(tmpl.format(*[f"_{j}" for j in range(len(attrs))]), mode="eval")
+            arg = _arith(parsed.body, [frontier[plan.col[a]] for a in attrs])
         elif g.attr is not None:
-            data[f"__agg_{i}"] = df[plan.col[g.attr]]
-    if keys:
-        grouped = data.groupby(keys, dropna=False, sort=False)
-        out = grouped.size().rename("__size").reset_index()
-    else:  # a global aggregate has one row, even over empty input
-        grouped = data
-        out = pd.DataFrame({"__size": [len(df)]})
-    for i, g in enumerate(q.aggs):
-        if g.attr is None and g.expr is None:
-            out[g.alias] = out["__size"]
-        else:
-            agg = _aggregate(grouped[f"__agg_{i}"], g)
-            if not keys and agg is pd.NA:  # NULL of a nullable column: NaN, as DuckDB gives
-                agg = float("nan")
-            out[g.alias] = agg.to_numpy() if keys else [agg]
-    out = out.drop(columns="__size")
+            arg = frontier[plan.col[g.attr]]
+        else:  # count(*)
+            aggs.append(([], "count_all"))
+            continue
+        data = data.append_column(f"__agg_{i}", arg)
+        aggs.append((f"__agg_{i}", "mean" if g.func == "avg" else g.func))
+    # The keys come first, then the aggregates; a global aggregate has
+    # one row, even over empty input.
+    out = data.group_by(keys).aggregate(aggs)
+    out = out.rename_columns(keys + [g.alias for g in q.aggs])
     for alias, op, v in q.having:
-        out = _where(out, alias, op, v)
+        out = out.filter(_CMP[op](pc.field(alias), v))
     return out

@@ -3,8 +3,8 @@
 Given a query ``Q`` and a BaaV schema ``~R``, generate a
 :class:`~repro.core.plan.KBAPlan`:
 
-1. minimize the (max SPC sub-)query — Condition (II)/(III) are stated
-   over ``min(Q)``;
+1. minimize the (max SPC sub-)query under the query's bag or set
+   semantics — Condition (II)/(III) are stated over ``min(Q)``;
 2. name one frontier column per equality class of ``min(Q)``
    (:func:`rep_col`) and map every attribute the plan reads to it
    (``KBAPlan.col``); each constant class seeds the values its
@@ -62,7 +62,7 @@ def rep_col(rep: Attr) -> str:
 def generate_plan(q: Query, catalog: Catalog, schema: BaaVSchema) -> KBAPlan:
     """Generate a KBA plan for ``q`` over ``~R`` (Theorem 6)."""
     spc = spc_of(q)
-    minq = minimize(spc, catalog)
+    minq = minimize(q, catalog)
     ec = minq.eq_classes()
     # The frontier column of every attribute of min(Q)'s atoms, and of
     # each projected attribute of Q through its image in min(Q).

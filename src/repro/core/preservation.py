@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .closure import clo
 from .minimize import minimize
-from .query import Query, SPCQuery, spc_of
+from .query import Query, SPCQuery
 from .schema import BaaVSchema, Catalog, KVSchema, qualify
 
 
@@ -38,8 +38,7 @@ def result_preservation(
 ) -> PreservationReport:
     """Condition (II) over ``min(Q)``, with the Thm 3 reduction for
     RA_aggr queries."""
-    spc = spc_of(q)
-    minq = minimize(spc, catalog)
+    minq = minimize(q, catalog)
     cover: dict[str, KVSchema | None] = {}
     for atom in minq.atoms:
         x_r = minq.attrs_of_alias(atom.alias)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .closure import chase, clo as _rel_clo
 from .minimize import minimize
-from .query import Atom, EqClasses, Query, SPCQuery, spc_of
+from .query import Atom, EqClasses, Query, SPCQuery
 from .schema import Attr, BaaVSchema, Catalog, KVSchema
 
 
@@ -121,8 +121,7 @@ class ScanFreeReport:
 
 def scan_free_report(q: Query, catalog: Catalog, schema: BaaVSchema) -> ScanFreeReport:
     """Theorem 4 (SPC) / Theorem 5 (RA_aggr via the max SPC sub-query)."""
-    spc = spc_of(q)
-    minq = minimize(spc, catalog)
+    minq = minimize(q, catalog)
     get = get_closure(minq, schema)
     vcs = vc(minq, schema, get)
     uncovered = []

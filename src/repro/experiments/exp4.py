@@ -23,6 +23,7 @@ from __future__ import annotations
 import time
 
 import pandas as pd
+import pyarrow as pa
 from pyspark.sql import SparkSession
 
 from ..nosql.backends import HBASE
@@ -64,16 +65,17 @@ def run(
         warm(ctx)
         inst = ctx.store[_TEST_KV]
         # The first keys of the block index, and their rows for writes.
-        vehicles = inst.rel["vehicle_id"]
-        keys = pd.DataFrame({"vehicle_id": vehicles.unique()[:n_read_keys]})
-        written = keys["vehicle_id"].head(max(1, n_write_rows // 4))
-        new_rows = inst.rel[vehicles.isin(written)].head(n_write_rows)
-        new_rows = new_rows.assign(test_id=new_rows["test_id"] + 10_000_000)
+        tests = ctx.pdfs["mottest"].sort_values("vehicle_id", kind="stable")
+        vehicles = tests["vehicle_id"].unique()[:n_read_keys]
+        keys = pa.table({"vehicle_id": vehicles})
+        written = tests[tests["vehicle_id"].isin(vehicles[: max(1, n_write_rows // 4)])]
+        written = written.head(n_write_rows).assign(test_id=lambda d: d["test_id"] + 10_000_000)
+        new_rows = pa.Table.from_pandas(written, preserve_index=False)
 
         # -- read workload: BaaV block gets vs TaaV tuple gets --------
         ctx.store.meter.reset()
         t0 = time.perf_counter()
-        n_rows = len(inst.fetch(keys))
+        n_rows = inst.fetch(keys).num_rows
         fetch_wall_s = time.perf_counter() - t0
         n_values = n_rows * len(_TEST_KV.columns)
         baav_read = Meter(**ctx.store.meter.snapshot())
@@ -81,7 +83,7 @@ def run(
         taav_read = Meter(gets=n_rows, data_values=n_values)
 
         # -- write workload: append rows for existing keys ------------
-        n_new = len(new_rows)
+        n_new = new_rows.num_rows
         w_values = n_new * len(_TEST_KV.columns)
         ctx.store.meter.reset()
         t0 = time.perf_counter()

@@ -3,11 +3,11 @@
 The paper's storage layer (HBase/Kudu/Cassandra) exposes ``get``,
 ``put`` and ``next`` (paper §3). Here it is simulated in-process, and
 both stores are built from the pandas relations: the BaaV store keeps
-each KV instance as a keyed-block frame in the driver
+each KV instance as one Arrow table of keyed blocks in the driver
 (:class:`KVInstance`), and the baseline's TaaV store ships its
-relations into Spark and persists them there (:class:`TaaVStore`).
-:func:`to_spark` is the one way a pandas frame enters Spark. Crucially
-for Table 2, every access path is *metered*:
+relations into Spark by Arrow and persists them there
+(:class:`TaaVStore`). Crucially for Table 2, every access path is
+*metered*:
 
 - ``#get``    — one per key probed (BaaV) or per tuple (TaaV scans);
 - ``#data``   — attribute values read from storage;
@@ -27,6 +27,7 @@ from typing import Sequence
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 from pyspark.sql import DataFrame, SparkSession
 
 from ..core.schema import BaaVSchema, KVSchema
@@ -35,30 +36,15 @@ _STRING_BYTES = 16.0
 _SCALAR_BYTES = 8.0
 
 
-def to_spark(
-    spark: SparkSession, pdf: pd.DataFrame, schema: pa.Schema | None = None
-) -> DataFrame:
-    """Ship a pandas frame into Spark by Arrow, with the Arrow ``schema``
-    given or else the frame's own, so NaN arrives as NULL. An empty
-    frame's own schema types a string column as ``null``."""
-    return spark.createDataFrame(
-        pa.Table.from_pandas(pdf, schema=schema, preserve_index=False)
-    )
-
-
 def col_width(dtype: pa.DataType) -> float:
     """Estimated serialized width of one value, in bytes."""
     return _STRING_BYTES if pa.types.is_string(dtype) else _SCALAR_BYTES
 
 
-def row_width(
-    pdf: pd.DataFrame | pa.Schema, cols: Sequence[str] | None = None
-) -> float:
-    """Estimated serialized width of one tuple of ``pdf`` (or of its
-    columns ``cols``), from the columns' Arrow types."""
-    if isinstance(pdf, pd.DataFrame):
-        pdf = pa.Schema.from_pandas(pdf, preserve_index=False)
-    return float(sum(col_width(pdf.field(c).type) for c in cols or pdf.names))
+def row_width(schema: pa.Schema, cols: Sequence[str] | None = None) -> float:
+    """Estimated serialized width of one tuple (or of its columns
+    ``cols``), from the columns' Arrow types."""
+    return float(sum(col_width(schema.field(c).type) for c in cols or schema.names))
 
 
 @dataclass
@@ -91,51 +77,52 @@ class Meter:
 class KVInstance:
     """One metered KV instance ~D of a KV schema ~R<X,Y> (BaaV).
 
-    The storage layer keeps a copy of the relational version π_XY of a
-    pandas relation in the driver process, one frame with every block
-    contiguous, and a block index key → ``[start, end)`` built once
-    here. ``get(k)`` is one slice of the frame: the block B_k as one
-    value (§3, §4.1). Its Arrow schema, read once here, gives the value
-    widths and the column types of every frame the instance ships into
-    Spark. Every size stat and meter charge is read from the index. ``fetch``
-    is the multi-get primitive: one ``get`` per distinct key, returning
-    whole blocks. ``scan`` iterates all keys (one ``get`` per block,
-    after a ``next()`` walk).
+    The storage layer keeps the relational version π_XY of a relation in
+    the driver process as one Arrow table sorted on the key, so every
+    block is one run of rows, and a block index key → ``[start, end)``
+    derived once here from the sort. ``get(k)`` is one index lookup and
+    one slice: the block B_k as one value (§3, §4.1). The table's schema
+    gives the value widths and the column types of every answer. Every
+    size stat and meter charge is read from the index. ``fetch`` is the
+    multi-get primitive: one ``get`` per distinct key, returning whole
+    blocks. ``scan`` iterates all keys (one ``get`` per block, after a
+    ``next()`` walk).
     """
 
-    def __init__(self, kv: KVSchema, rel: pd.DataFrame, meter: Meter) -> None:
+    def __init__(self, kv: KVSchema, rel: pa.Table, meter: Meter) -> None:
         self.kv = kv
         self.meter = meter
-        rel = rel[list(kv.columns)]  # a copy: the caller's frame is never aliased
-        groups = rel.groupby(list(kv.key), sort=True, dropna=False)
-        order = np.argsort(groups.ngroup().to_numpy(), kind="stable")
-        self.rel = rel.take(order).reset_index(drop=True)
-        self.arrow = pa.Schema.from_pandas(self.rel, preserve_index=False)
-        self._row_w = row_width(self.arrow)
-        self._key_w = row_width(self.arrow, kv.key)
-        sizes = groups.size()
-        self._keys = sizes.index  # one entry per block, in frame order
-        self._sizes = sizes.to_numpy()
-        self._starts = np.cumsum(self._sizes) - self._sizes
+        rel = rel.select(list(kv.columns))
+        self.table = rel.take(pc.sort_indices(rel, [(k, "ascending") for k in kv.key]))
+        self._row_w = row_width(self.table.schema)
+        self._key_w = row_width(self.table.schema, kv.key)
+        # Each block is one run of the sorted rows, starting at the least
+        # row number of its key; the order of a group-by is not the sort's.
+        keys = self.table.select(list(kv.key))
+        runs = keys.append_column("__row", pa.array(np.arange(keys.num_rows)))
+        runs = runs.group_by(list(kv.key)).aggregate([("__row", "min")])
+        self._starts = np.sort(runs["__row_min"].to_numpy())
+        self._sizes = np.diff(self._starts, append=self.table.num_rows)
+        self._firsts = keys.take(self._starts)  # each block's key, in table order
+        self._index = {k: b for b, k in enumerate(_key_values(self._firsts))}
         self.degree = int(self._sizes.max(initial=0))  # deg(~D), §4.1
 
     @property
     def df(self) -> DataFrame:
         """The relational version shipped into Spark on the active
         session. Its one reader is perfbench's traced ``visible_frac``."""
-        return to_spark(SparkSession.active(), self.rel, self.arrow)
+        return SparkSession.active().createDataFrame(self.table)
 
     # -- size stats (not metered: schema-design-time information) ----
     @property
     def block_sizes(self) -> dict[tuple, int]:
         """key → |B_k|; the null key is one block like any other."""
-        keys = self._keys.to_frame(index=False).astype(object)
-        keys = keys.where(keys.notna(), None)
-        return dict(zip(keys.itertuples(index=False, name=None), self._sizes.tolist()))
+        keys = zip(*(c.to_pylist() for c in self._firsts.columns))
+        return dict(zip(keys, self._sizes.tolist()))
 
     @property
     def n_rows(self) -> int:
-        return len(self.rel)
+        return self.table.num_rows
 
     @property
     def n_keys(self) -> int:
@@ -145,40 +132,39 @@ class KVInstance:
     def size_bytes(self) -> float:
         return self.n_rows * self._row_w
 
-    def _lookup(self, keys: pd.DataFrame) -> tuple[int, np.ndarray]:
+    def _lookup(self, keys: pa.Table) -> tuple[int, np.ndarray]:
         """The number of distinct keys in ``keys`` and the block numbers
-        of those stored. A key with a null matches no block, as in a
-        join."""
-        distinct = keys[list(self.kv.key)].drop_duplicates()
-        probe = distinct.dropna()
-        if len(self.kv.key) == 1:
-            probe = pd.Index(probe.iloc[:, 0])
-        else:
-            probe = pd.MultiIndex.from_frame(probe)
-        blocks = self._keys.get_indexer(probe)
-        return len(distinct), blocks[blocks >= 0]
+        of those stored, in table order. A key with a null matches no
+        block, as in a join."""
+        key = list(self.kv.key)
+        distinct = keys.select(key).cast(self._firsts.schema).group_by(key).aggregate([])
+        get = self._index.get
+        blocks = np.array([get(k, -1) for k in _key_values(distinct.drop_null())], np.intp)
+        return distinct.num_rows, np.sort(blocks[blocks >= 0])
 
     # -- metered access ----------------------------------------------
-    def fetch(self, keys: pd.DataFrame | DataFrame) -> pd.DataFrame | DataFrame:
+    def fetch(self, keys: pa.Table | DataFrame) -> pa.Table | DataFrame:
         """Multi-get: retrieve the blocks for the given key tuples.
 
         ``keys`` must have exactly the key columns of the schema. Its
         distinct keys are looked up in the block index at once and the
-        blocks' slices are returned together (§7.2 step (b)). One
-        ``get`` is charged per distinct key; ``comm`` is charged for the
-        keys shipped down plus the block bytes shipped back (§7.2
-        interleaving). A Spark ``keys`` frame is collected once and the
-        blocks are shipped back into its session with the instance's
-        column types, even when no block matches.
+        blocks' rows are taken together (§7.2 step (b)). One ``get`` is
+        charged per distinct key; ``comm`` is charged for the keys
+        shipped down plus the block bytes shipped back (§7.2
+        interleaving). A Spark ``keys`` frame is collected once by Arrow
+        and the blocks are shipped back into its session with the
+        instance's column types, even when no block matches.
         """
-        if set(keys.columns) != set(self.kv.key):
-            raise ValueError(f"fetch keys {list(keys.columns)} != schema key {self.kv.key}")
-        if isinstance(keys, DataFrame):
-            out = self._fetch(keys.select(*self.kv.key).toPandas())
-            return to_spark(keys.sparkSession, out, self.arrow)
+        spark = isinstance(keys, DataFrame)
+        names = keys.columns if spark else keys.column_names
+        if set(names) != set(self.kv.key):
+            raise ValueError(f"fetch keys {names} != schema key {self.kv.key}")
+        if spark:
+            out = self._fetch(keys.select(*self.kv.key).toArrow())
+            return keys.sparkSession.createDataFrame(out)
         return self._fetch(keys)
 
-    def _fetch(self, keys: pd.DataFrame) -> pd.DataFrame:
+    def _fetch(self, keys: pa.Table) -> pa.Table:
         n_keys, blocks = self._lookup(keys)
         sizes = self._sizes[blocks]
         offsets = np.cumsum(sizes) - sizes  # each block's first output row
@@ -189,9 +175,9 @@ class KVInstance:
         m.keys_shipped += n_keys
         m.data_values += n_rows * len(self.kv.columns)
         m.comm_bytes += n_keys * self._key_w + n_rows * self._row_w
-        return self.rel.take(rows)
+        return self.table.take(rows)
 
-    def scan(self) -> pd.DataFrame:
+    def scan(self) -> pa.Table:
         """Full scan: iterate all keys via ``next()`` and get every
         block. Under BaaV this costs one get per *block* (data
         locality), not per tuple."""
@@ -201,16 +187,16 @@ class KVInstance:
         m.gets += self.n_keys
         m.data_values += n_rows * len(self.kv.columns)
         m.comm_bytes += n_rows * self._row_w
-        return self.rel
+        return self.table
 
-    def put(self, rows: pd.DataFrame | DataFrame) -> None:
+    def put(self, rows: pa.Table | DataFrame) -> None:
         """Metered write path (throughput experiments): the client issues
         one put per updated tuple; when the key already exists the
         middleware must rewrite the whole block (the paper's §9 Exp-4
         reason BaaV write throughput is slightly below TaaV's)."""
         if isinstance(rows, DataFrame):
-            rows = rows.select(*self.kv.key).toPandas()
-        n_new = len(rows)
+            rows = rows.select(*self.kv.key).toArrow()
+        n_new = rows.num_rows
         _, blocks = self._lookup(rows)
         touched = int(self._sizes[blocks].sum())
         m = self.meter
@@ -219,21 +205,30 @@ class KVInstance:
         m.comm_bytes += (touched + n_new) * self._row_w
 
 
+def _key_values(keys: pa.Table) -> list:
+    """One hashable value per row of a key table: the value of a one-column
+    key, else the tuple of the row's values. They are read through numpy,
+    several times faster than ``to_pylist``; a lookup first casts its keys
+    to the index's types, so equal keys read as equal values."""
+    cols = [c.to_numpy().tolist() for c in keys.columns]
+    return cols[0] if len(cols) == 1 else list(zip(*cols))
+
+
 class TaaVStore:
     """The conventional tuple-as-a-value store (paper §3).
 
     Each relation is a set of KV pairs (primary key -> whole tuple). A
     scan of R incurs |R| ``get`` invocations; this is what makes the
     baseline's data access expensive. The relations are shipped into
-    Spark and persisted there; sizes and widths are read from the
-    pandas frames.
+    Spark by Arrow, so NaN arrives as NULL, and persisted there.
     """
 
     def __init__(self, spark: SparkSession, relations: dict[str, pd.DataFrame]) -> None:
         self.meter = Meter()
-        self.dfs = {name: to_spark(spark, pdf).persist() for name, pdf in relations.items()}
-        self._n_rows = {name: len(pdf) for name, pdf in relations.items()}
-        self._widths = {name: row_width(pdf) for name, pdf in relations.items()}
+        tables = {n: pa.Table.from_pandas(r, preserve_index=False) for n, r in relations.items()}
+        self.dfs = {name: spark.createDataFrame(t).persist() for name, t in tables.items()}
+        self._n_rows = {name: t.num_rows for name, t in tables.items()}
+        self._widths = {name: row_width(t.schema) for name, t in tables.items()}
 
     def scan(self, name: str) -> DataFrame:
         """Scan a relation: one get per tuple, whole relation shipped."""
@@ -260,11 +255,11 @@ class BaaVStore:
     ) -> None:
         self.schema = schema
         self.meter = Meter()
-        self.instances: dict[KVSchema, KVInstance] = {}
-        for kv in schema:
-            if kv.relation not in relations:
-                raise ValueError(f"no data for relation {kv.relation}")
-            self.instances[kv] = KVInstance(kv, relations[kv.relation], self.meter)
+        names = {kv.relation for kv in schema}
+        if missing := names - relations.keys():
+            raise ValueError(f"no data for relations {sorted(missing)}")
+        tables = {r: pa.Table.from_pandas(relations[r], preserve_index=False) for r in names}
+        self.instances = {kv: KVInstance(kv, tables[kv.relation], self.meter) for kv in schema}
 
     def __getitem__(self, kv: KVSchema) -> KVInstance:
         return self.instances[kv]

@@ -76,7 +76,7 @@ def store():
 def _run(store, q):
     """Plan and execute ``q``; check the result against DuckDB."""
     plan = generate_plan(q, CATALOG, SCHEMA)
-    df = execute(plan, store)
+    df = execute(plan, store).to_pandas()
     assert_equivalent(df, q.to_sql(), **{a.relation: PDFS[a.relation] for a in q.atoms})
     rows = df.astype(object).where(df.notna(), None)  # NaN reads as None
     return plan, set(rows.itertuples(index=False, name=None))
@@ -179,13 +179,18 @@ def test_project(store):
 
 
 def test_group_by(store):
+    """With an arithmetic aggregate: SQL's ``/`` does not truncate."""
     q = GroupByQuery(
         SPCQuery(atoms=(Atom("G", "g"),)),
         group_by=(("G", "A"),),
-        aggs=(Aggregate("sum", ("G", "B"), "total"), Aggregate("count", None, "n")),
+        aggs=(
+            Aggregate("sum", ("G", "B"), "total"),
+            Aggregate("count", None, "n"),
+            Aggregate("sum", None, "quarter", expr=("(1 - {0} / 4)", (("G", "B"),))),
+        ),
     )
     _, rows = _run(store, q)
-    assert rows == {(1, 30, 2), (2, 30, 1)}
+    assert rows == {(1, 30, 2, -5.5), (2, 30, 1, -6.5)}
 
 
 def test_self_join_equates_only_query_equalities(store):
@@ -269,7 +274,7 @@ def test_sum_over_all_null_group_is_null(store):
         ),
     )
     plan = generate_plan(q, CATALOG, SCHEMA)
-    out = execute(plan, store)
+    out = execute(plan, store).to_pandas()
     assert_equivalent(out, q.to_sql(), ng=PDFS["ng"])
     row = out[out["G_A"] == 2].iloc[0]
     assert pd.isna(row["total"]) and pd.isna(row["mean"]) and pd.isna(row["low"])
@@ -310,7 +315,7 @@ def test_global_aggregate_over_empty_input(store, base):
         ),
     )
     plan = generate_plan(q, CATALOG, SCHEMA)
-    out = execute(plan, store)
+    out = execute(plan, store).to_pandas()
     assert_equivalent(out, q.to_sql(), ng=PDFS["ng"])
     assert len(out) == 1
     assert (out["n"].iloc[0], out["n_b"].iloc[0]) == (0, 0)

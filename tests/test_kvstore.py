@@ -1,9 +1,9 @@
 """Tests for the metered KV substrate (nosql.kvstore; DESIGN.md §5) and
 the mapping of a relation on a KV schema (paper §4.1).
 
-The stores are built from pandas frames, so only the tests of the Spark
-boundary (``fetch``/``put`` with Spark frames, the TaaV store) start a
-JVM.
+The stores are built from pandas frames, and a KV instance holds an
+Arrow table, so only the tests of the Spark boundary (``fetch``/``put``
+with Spark frames, the TaaV store) start a JVM.
 """
 import datetime as dt
 import os
@@ -43,6 +43,14 @@ NULL_KEYS = pd.DataFrame(
 )
 
 
+def _arrow(pdf: pd.DataFrame) -> pa.Table:
+    return pa.Table.from_pandas(pdf, preserve_index=False)
+
+
+def _rows(table: pa.Table) -> list[tuple]:
+    return list(zip(*table.to_pydict().values()))
+
+
 def test_col_width_by_type():
     assert col_width(pa.string()) == 16.0
     assert col_width(pa.int64()) == 8.0
@@ -52,11 +60,11 @@ def test_col_width_by_type():
 
 
 def test_row_width():
-    assert row_width(REL) == 8 + 8 + 16
-    assert row_width(REL, ["k"]) == 8
+    assert row_width(_arrow(REL).schema) == 8 + 8 + 16
+    assert row_width(_arrow(REL).schema, ["k"]) == 8
     # A date column is stored as ``object`` like a string column, but
     # only the string is charged 16 bytes.
-    ev = pd.DataFrame({"d": [dt.date(2020, 1, 1), None], "s": ["x", "y"]})
+    ev = _arrow(pd.DataFrame({"d": [dt.date(2020, 1, 1), None], "s": ["x", "y"]})).schema
     assert row_width(ev, ["d"]) == 8
     assert row_width(ev) == 8 + 16
 
@@ -70,39 +78,39 @@ def test_meter_reset_and_snapshot():
 
 
 def test_map_relation_projects_key_first():
-    out = KVInstance(KV, REL[["w", "v", "k"]].assign(extra=0), Meter())
-    assert list(out.rel.columns) == ["k", "v", "w"]
+    out = KVInstance(KV, _arrow(REL[["w", "v", "k"]].assign(extra=0)), Meter())
+    assert out.table.column_names == ["k", "v", "w"]
     assert out.n_rows == 6  # bag semantics: no dedup
 
 
 def test_map_relation_keeps_duplicates():
-    out = KVInstance(KV, pd.DataFrame({"k": [1, 1], "v": [5, 5], "w": ["x", "x"]}), Meter())
+    out = KVInstance(KV, pa.table({"k": [1, 1], "v": [5, 5], "w": ["x", "x"]}), Meter())
     assert out.n_rows == 2 and out.block_sizes == {(1,): 2}
 
 
 def test_degree():
     """deg(~D) is the largest block size."""
-    assert KVInstance(KV, REL, Meter()).degree == 3
+    assert KVInstance(KV, _arrow(REL), Meter()).degree == 3
 
 
 def test_degree_empty():
-    out = KVInstance(KV, REL.iloc[:0], Meter())
+    out = KVInstance(KV, _arrow(REL.iloc[:0]), Meter())
     assert out.block_sizes == {}
     assert (out.degree, out.n_keys, out.n_rows) == (0, 0, 0)
 
 
 def test_block_sizes():
-    assert KVInstance(KV, REL, Meter()).block_sizes == {(1,): 3, (2,): 2, (3,): 1}
+    assert KVInstance(KV, _arrow(REL), Meter()).block_sizes == {(1,): 3, (2,): 2, (3,): 1}
 
 
 def test_instance_stats():
-    inst = KVInstance(KV, REL, Meter())
+    inst = KVInstance(KV, _arrow(REL), Meter())
     assert inst.block_sizes == {(1,): 3, (2,): 2, (3,): 1}
     assert inst.n_rows == 6
     assert inst.n_keys == 3
     assert inst.degree == 3
     assert inst.size_bytes == 6 * 32
-    inst = KVInstance(KV, NULL_KEYS, Meter())
+    inst = KVInstance(KV, _arrow(NULL_KEYS), Meter())
     assert inst.block_sizes == {(1,): 1, (None,): 2}
     assert (inst.n_rows, inst.n_keys, inst.degree) == (3, 2, 2)
 
@@ -112,10 +120,11 @@ def test_instance_copies_its_relation():
     truth) is never aliased or reordered."""
     pdf = REL.iloc[::-1].reset_index(drop=True)
     before = pdf.copy()
-    inst = KVInstance(KV, pdf, Meter())
-    assert inst.rel["k"].tolist() == [1, 1, 1, 2, 2, 3]
-    inst.rel.loc[0, "v"] = -1.0
+    inst = BaaVStore(BaaVSchema.of(KV), {"r": pdf})[KV]
+    assert inst.table["k"].to_pylist() == [1, 1, 1, 2, 2, 3]
     pd.testing.assert_frame_equal(pdf, before)
+    pdf.loc[0, "v"] = -1.0
+    assert -1.0 not in inst.table["v"].to_pylist()
 
 
 def test_baav_store_builds_without_spark():
@@ -134,24 +143,29 @@ def test_baav_store_builds_without_spark():
     subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
 
 
+_ARROW_TYPES = {"long": pa.int64(), "double": pa.float64(), "string": pa.string()}
+
+
 def _keys(rows: list[tuple], schema: str = "k long", spark=None) -> list:
-    """The keys as a pandas frame (the form the plan executor passes)
+    """The keys as an Arrow table (the form the plan executor passes)
     and, given a session, as a Spark frame too (the form perfbench
     passes)."""
-    forms = [pd.DataFrame(rows, columns=[c.split()[0] for c in schema.split(",")])]
+    fields = [c.split() for c in schema.split(",")]
+    arrow = pa.schema([(name, _ARROW_TYPES[t]) for name, t in fields])
+    forms = [pa.Table.from_pylist([dict(zip(arrow.names, r)) for r in rows], arrow)]
     if spark is not None:
         forms.append(spark.createDataFrame(rows, schema))
     return forms
 
 
 def _n_rows(out) -> int:
-    return len(out) if isinstance(out, pd.DataFrame) else out.count()
+    return out.num_rows if isinstance(out, pa.Table) else out.count()
 
 
 def test_fetch_meters_one_get_per_distinct_key(spark):
     for keys in _keys([(1,), (1,), (2,)], spark=spark):
         m = Meter()
-        inst = KVInstance(KV, REL, m)
+        inst = KVInstance(KV, _arrow(REL), m)
         out = inst.fetch(keys)
         assert type(out) is type(keys)
         assert _n_rows(out) == 5  # blocks of keys 1 and 2
@@ -163,57 +177,66 @@ def test_fetch_meters_one_get_per_distinct_key(spark):
         assert m.comm_bytes == 2 * 8 + 5 * 32
 
 
-def test_fetch_returns_whole_blocks(spark):
+@pytest.mark.parametrize(
+    "kv, rel, keys, expected",
+    [
+        (KV, REL, ([(3,), (1,)], "k long"),
+         [(1, 10.0, "a"), (1, 11.0, "a"), (1, 12.0, "b"), (3, 30.0, "d")]),
+        # String keys stored out of order: the block index follows the
+        # instance's sort, which a group-by's key order need not match.
+        (KVSchema("r", ("w",), ("k", "v")), REL.iloc[[5, 2, 3, 0, 4, 1]],
+         ([("c",), ("a",)], "w string"),
+         [("a", 1, 10.0), ("a", 1, 11.0), ("c", 2, 20.0), ("c", 2, 21.0)]),
+    ],
+    ids=["int_key", "string_key"],
+)
+def test_fetch_returns_whole_blocks(spark, kv, rel, keys, expected):
     """A multi-get returns every tuple of each block asked for, in any
     key order, with the instance's columns."""
-    inst = KVInstance(KV, REL, Meter())
-    pdf, sdf = _keys([(3,), (1,)], spark=spark)
-    out = inst.fetch(pdf)
-    assert list(out.columns) == ["k", "v", "w"]
-    assert sorted(out.itertuples(index=False, name=None)) == [
-        (1, 10.0, "a"), (1, 11.0, "a"), (1, 12.0, "b"), (3, 30.0, "d"),
-    ]
+    inst = KVInstance(kv, _arrow(rel), Meter())
+    table, sdf = _keys(*keys, spark=spark)
+    out = inst.fetch(table)
+    assert out.column_names == list(kv.columns)
+    assert sorted(_rows(out)) == expected
     spark_out = inst.fetch(sdf)
     assert spark_out.schema == inst.df.schema
-    assert sorted(map(tuple, spark_out.collect())) == sorted(
-        out.itertuples(index=False, name=None)
-    )
+    assert sorted(map(tuple, spark_out.collect())) == expected
 
 
 def test_fetch_missing_key_costs_a_get(spark):
     for keys in _keys([(99,)], spark=spark):
         m = Meter()
-        inst = KVInstance(KV, REL, m)
+        inst = KVInstance(KV, _arrow(REL), m)
         out = inst.fetch(keys)
         assert _n_rows(out) == 0
         assert m.gets == 1 and m.data_values == 0
-        if not isinstance(out, pd.DataFrame):  # the instance's types, not void ones
+        if not isinstance(out, pa.Table):  # the instance's types, not void ones
             assert out.schema == inst.df.schema
     # No key: no get, nothing back.
     for keys in _keys([], spark=spark):
         m = Meter()
-        inst = KVInstance(KV, REL, m)
+        inst = KVInstance(KV, _arrow(REL), m)
         out = inst.fetch(keys)
         assert _n_rows(out) == 0
         assert m.gets == 0 and m.data_values == 0 and m.comm_bytes == 0
-        if not isinstance(out, pd.DataFrame):
+        if not isinstance(out, pa.Table):
             assert out.schema == inst.df.schema
     # A null key costs a get but matches no block, not even a null one.
     for keys in _keys([(None,), (None,)], spark=spark):
         for target in (REL, NULL_KEYS):
             m = Meter()
-            out = KVInstance(KV, target, m).fetch(keys)
+            out = KVInstance(KV, _arrow(target), m).fetch(keys)
             assert _n_rows(out) == 0
             assert m.gets == 1 and m.data_values == 0
     # Beside a present key, a null key still costs its get.
     for keys in _keys([(None,), (2,)], spark=spark):
         m = Meter()
-        out = KVInstance(KV, NULL_KEYS, m).fetch(keys)
+        out = KVInstance(KV, _arrow(NULL_KEYS), m).fetch(keys)
         assert _n_rows(out) == 0
         assert m.gets == 2 and m.data_values == 0
     for keys in _keys([(None,), (1,)], spark=spark):
         m = Meter()
-        out = KVInstance(KV, NULL_KEYS, m).fetch(keys)
+        out = KVInstance(KV, _arrow(NULL_KEYS), m).fetch(keys)
         assert _n_rows(out) == 1
         assert m.gets == 2 and m.data_values == 3
 
@@ -224,13 +247,13 @@ def test_fetch_multi_column_key():
     kv = KVSchema("r", ("k", "w"), ("v",))
     (keys,) = _keys([(1, "a"), (1, "z"), (None, "a")], "k long, w string")
     m = Meter()
-    out = KVInstance(kv, REL, m).fetch(keys)
+    out = KVInstance(kv, _arrow(REL), m).fetch(keys)
     assert _n_rows(out) == 2
     assert m.gets == 3 and m.data_values == 2 * 3
 
 
 def test_fetch_rejects_wrong_key_columns(spark):
-    inst = KVInstance(KV, REL, Meter())
+    inst = KVInstance(KV, _arrow(REL), Meter())
     for keys in _keys([(10.0,)], "v double", spark=spark):
         with pytest.raises(ValueError):
             inst.fetch(keys)
@@ -239,9 +262,9 @@ def test_fetch_rejects_wrong_key_columns(spark):
 def test_scan_meters_one_get_per_block():
     """Under BaaV a scan costs one get per *block* (data locality)."""
     m = Meter()
-    inst = KVInstance(KV, REL, m)
+    inst = KVInstance(KV, _arrow(REL), m)
     out = inst.scan()
-    assert len(out) == 6
+    assert out.num_rows == 6
     assert m.scans == 1
     assert m.gets == 3  # 3 blocks, not 6 tuples
     assert m.data_values == 6 * 3
@@ -249,9 +272,9 @@ def test_scan_meters_one_get_per_block():
 
 def test_put_meters_block_rewrite(spark):
     one = pd.DataFrame({"k": [1], "v": [99.0], "w": ["z"]})
-    for rows in (spark.createDataFrame(one), one):
+    for rows in (spark.createDataFrame(one), _arrow(one)):
         m = Meter()
-        inst = KVInstance(KV, REL, m)
+        inst = KVInstance(KV, _arrow(REL), m)
         inst.put(rows)
         assert m.puts == 1
         # a BaaV put rewrites the existing block (3 tuples) + the new one
@@ -260,20 +283,20 @@ def test_put_meters_block_rewrite(spark):
     # Two tuples for existing key 2, one for new key 7: block 2 is
     # rewritten once, a new block is written whole.
     three = pd.DataFrame({"k": [2, 2, 7], "v": [1.0, 2.0, 3.0], "w": ["x", "y", "z"]})
-    for rows in (spark.createDataFrame(three), three):
+    for rows in (spark.createDataFrame(three), _arrow(three)):
         m = Meter()
-        KVInstance(KV, REL, m).put(rows)
+        KVInstance(KV, _arrow(REL), m).put(rows)
         assert m.puts == 3
         assert m.data_values == (2 + 3) * 3
         assert m.comm_bytes == (2 + 3) * 32
     # A tuple with a null key is a new block: nothing is rewritten.
     null = pd.DataFrame({"k": [None], "v": [1.0], "w": ["x"]})
     m = Meter()
-    KVInstance(KV, NULL_KEYS, m).put(null)
+    KVInstance(KV, _arrow(NULL_KEYS), m).put(_arrow(null))
     assert m.puts == 1 and m.data_values == 1 * 3
     # An empty batch writes nothing.
     m = Meter()
-    KVInstance(KV, REL, m).put(one.iloc[:0])
+    KVInstance(KV, _arrow(REL), m).put(_arrow(one.iloc[:0]))
     assert m.snapshot() == Meter().snapshot()
 
 
@@ -301,7 +324,7 @@ def test_baav_store_builds_all_instances():
 def test_baav_store_shared_meter():
     schema = BaaVSchema.of(KV)
     store = BaaVStore(schema, {"r": REL})
-    store[KV].fetch(pd.DataFrame({"k": [1]}))
+    store[KV].fetch(pa.table({"k": [1]}))
     store[KV].scan()
     assert store.meter.gets == 1 + 3
 
@@ -319,7 +342,7 @@ def test_taav_is_special_case_of_baav(spark):
     kv = KVSchema("vehicle", rel.pk, tuple(c for c in rel.columns if c not in rel.pk))
     pdf = mot.WORKLOAD.pdfs(sf=0.01)["vehicle"]
     m = Meter()
-    inst = KVInstance(kv, pdf, m)
+    inst = KVInstance(kv, _arrow(pdf), m)
     assert inst.degree == 1
     assert inst.n_keys == inst.n_rows == len(pdf)
     inst.scan()
@@ -335,7 +358,7 @@ def test_baav_scan_vs_taav_scan_get_ratio(spark):
     taav = TaaVStore(spark, {"r": REL})
     taav.scan("r")
     m = Meter()
-    inst = KVInstance(KV, REL, m)
+    inst = KVInstance(KV, _arrow(REL), m)
     inst.scan()
     assert taav.meter.gets / m.gets == 2.0  # 6 tuples / 3 blocks
     taav.close()

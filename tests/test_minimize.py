@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.core.minimize import minimize
-from repro.core.query import Atom, Filter, SPCQuery
+from repro.core.query import Aggregate, Atom, Filter, GroupByQuery, SPCQuery
 from repro.core.schema import Catalog, RelSchema
 
 CAT = Catalog.of(
@@ -189,3 +189,20 @@ def test_paper_example_5_q2_minimizes_to_q1prime():
     m = minimize(q2, tpch.CATALOG)
     assert len(m.atoms) == 3
     assert {a.relation for a in m.atoms} == {"nation", "supplier", "partsupp"}
+
+
+def test_bag_query_keeps_a_foldable_atom():
+    """A homomorphism folds R3 onto R1, but without DISTINCT R3
+    multiplies each (R1, R2) pair by the rows with b = 10 (Chaudhuri &
+    Vardi: bag equivalence needs isomorphism). So R3 stays, also under a
+    count(*); only min/max aggregates make duplicates irrelevant."""
+    q = SPCQuery(
+        atoms=(Atom("R1", "r"), Atom("R2", "r"), Atom("R3", "r")),
+        const=((("R1", "b"), 10), (("R2", "b"), 10), (("R3", "b"), 10)),
+        projection=(("R1", "a"), ("R2", "a")),
+    )
+    assert minimize(q, CAT) == q
+    count = GroupByQuery(q, group_by=(("R1", "a"),), aggs=(Aggregate("count", None, "n"),))
+    assert len(minimize(count, CAT).atoms) == 3
+    low = GroupByQuery(q, group_by=(("R1", "a"),), aggs=(Aggregate("min", ("R2", "a"), "lo"),))
+    assert len(minimize(low, CAT).atoms) == 2

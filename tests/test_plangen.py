@@ -7,7 +7,7 @@ from repro.core.minimize import minimize
 from repro.core.plan import FetchOp, ScanOp, SeedOp
 from repro.core.plangen import NotAnswerable, generate_plan, plan_is_bounded
 from repro.core.preservation import is_result_preserving
-from repro.core.query import Atom, SPCQuery, spc_of
+from repro.core.query import Atom, SPCQuery
 from repro.core.scanfree import get_closure, is_scan_free
 from repro.core.schema import BaaVSchema, Catalog, KVSchema, RelSchema
 from repro.workloads import WORKLOADS, mot, tpch
@@ -151,7 +151,7 @@ def test_tpch_q5_fetches_lineitem_through_narrowest_cover():
         op for op in plan.ops if isinstance(op, FetchOp) and op.atom.relation == "lineitem"
     ]
     assert fetch.kv.name == "~lineitem<l_suppkey|l_orderkey,l_linenumber,l_extendedprice,l_discount>"
-    get = get_closure(minimize(spc_of(q), tpch.CATALOG), tpch.BAAV)
+    get = get_closure(minimize(q, tpch.CATALOG), tpch.BAAV)
     first = next(st for st in get.trace if st.atom.relation == "lineitem")
     assert first.kv.key == ("l_orderkey",)
 

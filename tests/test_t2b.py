@@ -112,10 +112,12 @@ def test_t2b_generated_schema_makes_queries_scan_free():
 def test_t2b_store_backed_sizer(mot_ctx):
     """The sizer can come from real instance sizes (rows × width)."""
     from repro.core.t2b import t2b as run_t2b
+    import pyarrow as pa
+
     from repro.nosql.kvstore import KVInstance, Meter
 
     def sizer(kv):
-        return KVInstance(kv, mot_ctx.pdfs[kv.relation], Meter()).size_bytes
+        return KVInstance(kv, pa.Table.from_pandas(mot_ctx.pdfs[kv.relation]), Meter()).size_bytes
 
     sigma = [QCS("vehicle", ("vehicle_id", "make"), ("vehicle_id",))]
     res = run_t2b(mot_ctx.workload.catalog, sigma, sizer, budget=1e12)

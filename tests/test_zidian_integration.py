@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.query import Atom, SPCQuery
+from repro.core.query import Aggregate, Atom, GroupByQuery, SPCQuery
 from repro.runner import oracle_check, run_baseline, run_zidian
 from repro.workloads import WORKLOADS, mot
 
@@ -173,3 +173,18 @@ def test_odd_constants_match_oracle(ctx_of, case):
     oracle_check(ctx, q, run_baseline(ctx, q).df)
     if case == "empty_in":
         assert zr.df.count() == 0 and zr.meter["gets"] == 0
+
+
+def test_bag_self_join_keeps_every_atom(ctx_of):
+    """Without DISTINCT, T3 multiplies each (T1, T2) pair by vehicle 7's
+    test count, so min(Q) keeps it, and a count(*) per T1 sees it too:
+    Zidian, the baseline and DuckDB agree."""
+    ctx = ctx_of("mot")
+    q = replace(ODD_CONSTANTS["folded_self_join"], distinct=False)
+    n = int((ctx.pdfs["mottest"]["vehicle_id"] == 7).sum())
+    count = GroupByQuery(q, group_by=(("T1", "test_id"),), aggs=(Aggregate("count", None, "n"),))
+    for query, rows in ((q, n**3), (count, n)):
+        zr = run_zidian(ctx, query)
+        assert len(zr.plan.minq.atoms) == 3 and zr.df.count() == rows
+        oracle_check(ctx, query, zr.df)
+        oracle_check(ctx, query, run_baseline(ctx, query).df)
