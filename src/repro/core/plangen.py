@@ -60,7 +60,9 @@ def rep_col(rep: Attr) -> str:
 
 
 def generate_plan(q: Query, catalog: Catalog, schema: BaaVSchema) -> KBAPlan:
-    """Generate a KBA plan for ``q`` over ``~R`` (Theorem 6)."""
+    """Generate a KBA plan for ``q`` over ``~R`` (Theorem 6). An invalid
+    query raises ``ValueError`` before any planning."""
+    q.validate(catalog)
     spc = spc_of(q)
     minq = minimize(q, catalog)
     ec = minq.eq_classes()

@@ -131,26 +131,18 @@ class SPCQuery:
         return tuple(a.alias for a in self.atoms)
 
     def validate(self, catalog: Catalog) -> None:
-        """Check aliases are unique and every attribute exists."""
+        """Check aliases are unique, every relation is in the catalog and
+        every attribute exists."""
         if len(set(self.aliases)) != len(self.aliases):
-            raise ValueError("duplicate aliases")
-        by_alias = {a.alias: a.relation for a in self.atoms}
-
-        def chk(attr: Attr) -> None:
-            al, col = attr
-            if al not in by_alias:
+            raise ValueError(f"duplicate aliases in {self.aliases}")
+        if missing := sorted({a.relation for a in self.atoms} - catalog.relations.keys()):
+            raise ValueError(f"unknown relations {missing}")
+        columns = {a.alias: catalog[a.relation].columns for a in self.atoms}
+        for attr in sorted(self.all_attrs()):
+            if attr[0] not in columns:
                 raise ValueError(f"unknown alias in {attr}")
-            if col not in catalog[by_alias[al]].columns:
+            if attr[1] not in columns[attr[0]]:
                 raise ValueError(f"unknown column in {attr}")
-
-        for a, b in self.eq:
-            chk(a), chk(b)
-        for a, _ in self.const:
-            chk(a)
-        for f in self.filters:
-            chk(f.attr)
-        for a in self.projection:
-            chk(a)
 
     def all_attrs(self) -> frozenset[Attr]:
         """Every attribute mentioned anywhere in the query."""

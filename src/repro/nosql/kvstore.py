@@ -27,7 +27,6 @@ from typing import Sequence
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 from pyspark.sql import DataFrame, SparkSession
 
 from ..core.schema import BaaVSchema, KVSchema
@@ -79,9 +78,10 @@ class KVInstance:
 
     The storage layer keeps the relational version π_XY of a relation in
     the driver process as one Arrow table sorted on the key, so every
-    block is one run of rows, and a block index key → ``[start, end)``
-    derived once here from the sort. ``get(k)`` is one index lookup and
-    one slice: the block B_k as one value (§3, §4.1). The table's schema
+    block is one run of rows. Beside it sits the block index: the
+    block keys in the same order, with each block's size and first row.
+    ``get(k)`` is a binary search over the sorted block keys and one
+    slice: the block B_k as one value (§3, §4.1). The table's schema
     gives the value widths and the column types of every answer. Every
     size stat and meter charge is read from the index. ``fetch`` is the
     multi-get primitive: one ``get`` per distinct key, returning whole
@@ -92,19 +92,23 @@ class KVInstance:
     def __init__(self, kv: KVSchema, rel: pa.Table, meter: Meter) -> None:
         self.kv = kv
         self.meter = meter
-        rel = rel.select(list(kv.columns))
-        self.table = rel.take(pc.sort_indices(rel, [(k, "ascending") for k in kv.key]))
+        key, order = list(kv.key), [(k, "ascending") for k in kv.key]
+        self.table = rel.select(list(kv.columns)).sort_by(order)
         self._row_w = row_width(self.table.schema)
         self._key_w = row_width(self.table.schema, kv.key)
-        # Each block is one run of the sorted rows, starting at the least
-        # row number of its key; the order of a group-by is not the sort's.
-        keys = self.table.select(list(kv.key))
-        runs = keys.append_column("__row", pa.array(np.arange(keys.num_rows)))
-        runs = runs.group_by(list(kv.key)).aggregate([("__row", "min")])
-        self._starts = np.sort(runs["__row_min"].to_numpy())
-        self._sizes = np.diff(self._starts, append=self.table.num_rows)
-        self._firsts = keys.take(self._starts)  # each block's key, in table order
-        self._index = {k: b for b, k in enumerate(_key_values(self._firsts))}
+        # One row per block, sorted like the rows (a group-by promises no
+        # order): block b is rows [start_b, start_b + size_b) of the table.
+        blocks = self.table.select(key).group_by(key).aggregate([([], "count_all")])
+        blocks = blocks.sort_by(order)
+        self._sizes = blocks["count_all"].to_numpy()
+        self._starts = np.cumsum(self._sizes) - self._sizes
+        self._keys = blocks.select(key)
+        # A key with a null part matches no get, and in a composite key it
+        # sorts between the others: only the null-free keys are searched.
+        numbered = self._keys.append_column("__block", pa.array(np.arange(len(blocks))))
+        numbered = numbered.drop_null()
+        self._search_blocks = numbered["__block"].to_numpy()
+        self._search_keys = _search_array(numbered.select(key))
         self.degree = int(self._sizes.max(initial=0))  # deg(~D), §4.1
 
     @property
@@ -117,7 +121,7 @@ class KVInstance:
     @property
     def block_sizes(self) -> dict[tuple, int]:
         """key → |B_k|; the null key is one block like any other."""
-        keys = zip(*(c.to_pylist() for c in self._firsts.columns))
+        keys = zip(*(c.to_pylist() for c in self._keys.columns))
         return dict(zip(keys, self._sizes.tolist()))
 
     @property
@@ -134,13 +138,15 @@ class KVInstance:
 
     def _lookup(self, keys: pa.Table) -> tuple[int, np.ndarray]:
         """The number of distinct keys in ``keys`` and the block numbers
-        of those stored, in table order. A key with a null matches no
-        block, as in a join."""
+        of those stored, in table order, by binary search over the sorted
+        block keys. A key with a null matches no block, as in a join."""
         key = list(self.kv.key)
-        distinct = keys.select(key).cast(self._firsts.schema).group_by(key).aggregate([])
-        get = self._index.get
-        blocks = np.array([get(k, -1) for k in _key_values(distinct.drop_null())], np.intp)
-        return distinct.num_rows, np.sort(blocks[blocks >= 0])
+        distinct = keys.select(key).cast(self._keys.schema).group_by(key).aggregate([])
+        probes = _search_array(distinct.drop_null())
+        at = np.searchsorted(self._search_keys, probes)
+        hit = at < len(self._search_keys)
+        hit[hit] = self._search_keys[at[hit]] == probes[hit]
+        return distinct.num_rows, np.sort(self._search_blocks[at[hit]])
 
     # -- metered access ----------------------------------------------
     def fetch(self, keys: pa.Table | DataFrame) -> pa.Table | DataFrame:
@@ -205,13 +211,15 @@ class KVInstance:
         m.comm_bytes += (touched + n_new) * self._row_w
 
 
-def _key_values(keys: pa.Table) -> list:
-    """One hashable value per row of a key table: the value of a one-column
-    key, else the tuple of the row's values. They are read through numpy,
-    several times faster than ``to_pylist``; a lookup first casts its keys
-    to the index's types, so equal keys read as equal values."""
-    cols = [c.to_numpy().tolist() for c in keys.columns]
-    return cols[0] if len(cols) == 1 else list(zip(*cols))
+def _search_array(keys: pa.Table) -> np.ndarray:
+    """The rows of a null-free key table as one numpy array that compares
+    in the table's sort order: a one-column key's values, else an object
+    array of row tuples. A lookup first casts its keys to the instance's
+    types, so equal keys read as equal values."""
+    if keys.num_columns == 1:
+        return keys.column(0).to_numpy()
+    rows = zip(*(c.to_numpy().tolist() for c in keys.columns))
+    return np.fromiter(rows, dtype=object, count=keys.num_rows)
 
 
 class TaaVStore:

@@ -11,9 +11,11 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import repro
 from repro.core.schema import BaaVSchema, KVSchema
@@ -243,13 +245,97 @@ def test_fetch_missing_key_costs_a_get(spark):
 
 def test_fetch_multi_column_key():
     """A composite key is looked up as a whole: (k, w) = (1, 'a') is
-    one block of two tuples."""
+    one block of two tuples. A stored (1, None) sorts between (1, 'b')
+    and (2, 'c') and changes nothing."""
     kv = KVSchema("r", ("k", "w"), ("v",))
     (keys,) = _keys([(1, "a"), (1, "z"), (None, "a")], "k long, w string")
+    for rel in (REL, pd.concat([REL, pd.DataFrame({"k": [1], "v": [13.0], "w": [None]})])):
+        m = Meter()
+        out = KVInstance(kv, _arrow(rel), m).fetch(keys)
+        assert _n_rows(out) == 2
+        assert m.gets == 3 and m.data_values == 2 * 3
+
+
+# -- differential check of get against a brute-force filter ----------
+
+# Stored ints lie in 0..5 and stored strings are at most two letters, so
+# probes also sort before, between and after them, or are longer.
+_KEY_TYPES = {
+    "int": (pa.int64(), st.integers(0, 5), st.integers(-2, 8)),
+    "str": (pa.string(), st.text("bd", max_size=2), st.text("abcde", max_size=4)),
+}
+_KEY_SHAPES = {"int": ("int",), "str": ("str",), "int_str": ("int", "str")}
+
+
+@st.composite
+def _instances(draw):
+    """A small relation keyed on int, string or composite keys whose parts
+    may be null, a batch of probe keys and a batch of written rows."""
+    shape = _KEY_SHAPES[draw(st.sampled_from(sorted(_KEY_SHAPES)))]
+    names = [f"k{i}" for i in range(len(shape))]
+    stored = st.tuples(*(st.none() | _KEY_TYPES[t][1] for t in shape))
+    keys = draw(st.lists(stored, max_size=12))
+    probe = st.tuples(*(st.none() | _KEY_TYPES[t][1] | _KEY_TYPES[t][2] for t in shape))
+    probes = draw(st.lists(st.sampled_from(keys) | probe if keys else probe, max_size=8))
+    written = draw(st.lists(st.sampled_from(keys) | probe if keys else probe, max_size=4))
+    schema = pa.schema([(n, _KEY_TYPES[t][0]) for n, t in zip(names, shape)])
+    return KVSchema("r", tuple(names), ("v",)), schema, keys, probes, written
+
+
+def _table(schema: pa.Schema, keys: list[tuple], with_value: bool) -> pa.Table:
+    cols = dict(zip(schema.names, zip(*keys))) if keys else {n: [] for n in schema.names}
+    table = pa.table(cols, schema)
+    return table.append_column("v", pa.array(range(len(keys)), pa.int64())) if with_value else table
+
+
+# 3,000 rows over about 1,000 string keys: enough that a group-by's output
+# is not in key order, so the block index must be sorted like the rows.
+_LARGE = (
+    KVSchema("r", ("k0",), ("v",)),
+    pa.schema([("k0", pa.string())]),
+    [(f"{i:03d}",) for i in np.random.default_rng(0).integers(0, 1000, 3000)],
+    [("000",), ("123",), ("500",), ("999",), ("5",), ("zzz",), (None,)],
+    [("500",), ("xyz",)],
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_instances())
+@example(_LARGE)
+def test_get_matches_brute_force(case):
+    """``fetch``, ``put``, the meters and the size stats of a KV instance
+    agree with a plain Python filter over the relation sorted on its key
+    (nulls last), for absent, out-of-range, longer and null probes."""
+    kv, schema, keys, probes, written = case
     m = Meter()
-    out = KVInstance(kv, _arrow(REL), m).fetch(keys)
-    assert _n_rows(out) == 2
-    assert m.gets == 3 and m.data_values == 2 * 3
+    inst = KVInstance(kv, _table(schema, keys, True), m)
+    rows = sorted(  # the table order: stable, each key part nulls last
+        ((*k, v) for v, k in enumerate(keys)),
+        key=lambda r: [(p is None, p) for p in r[: len(schema)]],
+    )
+    assert _rows(inst.table) == rows
+    counts = {}
+    for k in keys:
+        counts[k] = counts.get(k, 0) + 1
+    assert inst.block_sizes == counts
+    assert (inst.n_keys, inst.degree) == (len(counts), max(counts.values(), default=0))
+    key_w = row_width(schema)
+    row_w = key_w + 8
+
+    wanted = {p for p in probes if None not in p}
+    expected = [r for r in rows if r[: len(schema)] in wanted]
+    assert _rows(inst.fetch(_table(schema, probes, False))) == expected
+    n = len(set(probes))
+    assert (m.gets, m.keys_shipped) == (n, n)
+    assert m.data_values == len(expected) * len(kv.columns)
+    assert m.comm_bytes == n * key_w + len(expected) * row_w
+
+    m.reset()
+    inst.put(_table(schema, written, True))
+    touched = sum(counts.get(k, 0) for k in {w for w in written if None not in w})
+    assert m.puts == len(written)
+    assert m.data_values == (touched + len(written)) * len(kv.columns)
+    assert m.comm_bytes == (touched + len(written)) * row_w
 
 
 def test_fetch_rejects_wrong_key_columns(spark):

@@ -185,3 +185,23 @@ def test_plan_describe_mentions_all_ops():
     q = tpch.q11("GERMANY")
     desc = generate_plan(q, tpch.CATALOG, tpch.BAAV).describe()
     assert "SEED" in desc and "FETCH" in desc and "SCAN-FREE" in desc
+
+
+_Q1 = mot.q1(7)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        replace(_Q1, projection=_Q1.projection + (("V", "no_such_column"),)),
+        replace(_Q1, projection=_Q1.projection + (("X", "make"),)),
+        replace(_Q1, atoms=(Atom("V", "vehicle"), Atom("T", "mottests"))),
+        replace(_Q1, atoms=(Atom("V", "vehicle"), Atom("V", "vehicle"))),
+    ],
+    ids=["unknown_column", "unknown_alias", "unknown_relation", "duplicate_alias"],
+)
+def test_invalid_query_fails_before_planning(q):
+    """An invalid query raises ``ValueError`` from plan generation, so
+    Zidian neither plans it nor falls back to scanning for it."""
+    with pytest.raises(ValueError):
+        generate_plan(q, mot.WORKLOAD.catalog, mot.WORKLOAD.baav)

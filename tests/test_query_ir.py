@@ -158,6 +158,8 @@ def test_validate_catches_bad_alias_and_column():
         _q(projection=(("X", "a"),)).validate(CAT)
     with pytest.raises(ValueError):
         _q(projection=(("R", "zzz"),)).validate(CAT)
+    with pytest.raises(ValueError):  # no attribute of the atom is mentioned
+        SPCQuery(atoms=(Atom("X", "nope"),)).validate(CAT)
     _q().validate(CAT)  # clean query passes
 
 
